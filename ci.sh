@@ -122,12 +122,12 @@ echo "==> occupancy-commit lint (CAS protocol has one owner)"
 # mutation in the scheme's hot path goes through the cell store's
 # publish/retract (exclusive) or try_publish/try_retract (CAS) — those
 # are the sole callers of the bitmap mutators. Direct bitmap writes from
-# the core table/concurrent/resize layers would bypass the commit
+# the core table/concurrent layers would bypass the commit
 # choreography. (crates/core/src/bulk.rs is the documented exception:
 # bulk load commits whole precomputed words while holding the table
 # exclusively.)
 if grep -rnE 'set_and_persist|set_volatile|cas_bit_and_persist|atomic_write[^(]*word_off' \
-    crates/core/src/table crates/core/src/concurrent.rs crates/core/src/resize.rs \
+    crates/core/src/table crates/core/src/concurrent.rs \
     crates/core/src/fpcache.rs \
     | strip_comments | grep .; then
   echo "occupancy lint: core scheme paths must commit occupancy via the cell store" >&2
@@ -137,8 +137,8 @@ fi
 echo "==> iceberg stability lint (entries never move after insert)"
 # The iceberg scheme's whole crash argument rests on stability: no
 # displacement, no backward shift, no direct occupancy-bit mutation —
-# every commit goes through the cell store's publish/retract (tagged)
-# helpers. A displacement helper or raw bitmap verb appearing in
+# every commit goes through BatchSession::stage_publish/stage_retract/
+# commit. A displacement helper or raw bitmap verb appearing in
 # iceberg.rs means the stability guarantee (and the bare-mode
 # crash-safety it buys) silently broke.
 if grep -rnE 'set_and_persist|set_volatile|cas_bit_and_persist|backward_shift|evict_to|fn displace|\.displace\(' \
@@ -156,28 +156,43 @@ if grep -n 'record_displacement(' crates/baselines/src/iceberg.rs \
 fi
 
 echo "==> online-expansion shape lint"
-# Expansion must stay incremental: the resizer drains through the
-# bounded migration cursor (migrate_step), never by re-inserting a full
-# table scan (for_each_entry = the old stop-the-world rebuild), and the
-# sharded table must expose the bounded drainer (expand_step).
-if grep -q "for_each_entry" crates/core/src/resize.rs; then
-  echo "expansion lint: resize.rs regressed to a stop-the-world rebuild" >&2
+# ShardedGroupHash's grow_shard/expand_step drain is the one growth path.
+# It must stay incremental: drain through the bounded migration cursor
+# (migrate_step), never by re-inserting a full table scan
+# (for_each_entry = a stop-the-world rebuild), and keep the bounded
+# drainer (expand_step) public.
+if grep -q "for_each_entry" crates/core/src/concurrent.rs; then
+  echo "expansion lint: concurrent.rs regressed to a stop-the-world rebuild" >&2
   exit 1
 fi
-grep -q "migrate_step" crates/core/src/resize.rs || {
-  echo "expansion lint: resize.rs no longer uses the bounded migration drainer" >&2
+for helper in migrate_step expand_step; do
+  grep -q "$helper" crates/core/src/concurrent.rs || {
+    echo "expansion lint: concurrent.rs lost $helper" >&2
+    exit 1
+  }
+done
+
+echo "==> one-mechanism lint (no second growth path, commit family or KV API)"
+# One growth path (expand_step), one commit family (CellStore/
+# BatchSession without tag-carrying twins), one public KV entry point
+# (Store). Volatile tags splice at stage time; they never need their
+# own commit entry points.
+if grep -rnE 'fn [a-z_]+_tagged\b|expand_into|ResizingGroupHash|migrate_into|#\[deprecated' \
+    crates/ | grep .; then
+  echo "mechanism lint: a removed growth path, _tagged commit or deprecated shim came back" >&2
   exit 1
-}
-grep -q "expand_step" crates/core/src/concurrent.rs || {
-  echo "expansion lint: ShardedGroupHash lost its bounded expand_step drainer" >&2
-  exit 1
-}
+fi
 
 echo "==> server loopback smoke test (ephemeral port, scripted session, clean shutdown)"
 # Boots the real TCP server over a Store on 127.0.0.1:0, runs a scripted
 # set/get/multi-get/gets/delete/stats/quit session, and requires every
 # thread to join on shutdown.
 cargo test -q -p nvm-server --test smoke
+
+echo "==> nvmbench builds (separate package outside the workspace)"
+# nvmbench uses the crates' public names; a deletion here must not
+# break it.
+cargo build --release --offline --manifest-path nvmbench/Cargo.toml
 
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run --workspace

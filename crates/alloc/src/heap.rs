@@ -15,7 +15,7 @@
 //!   crash-resumable sweep modeled on the table's `migrate_step`. A
 //!   persisted cursor walks the flat slot space; each allocated slot is
 //!   checked against the *owner* (the structure holding pointers into
-//!   the heap, e.g. `PmemKv`'s index) via [`GcOwner::is_live`]. Dead
+//!   the heap, e.g. the KV engine's index) via [`GcOwner::is_live`]. Dead
 //!   slots — leaked by a crash mid-batch or orphaned by an overwrite —
 //!   are freed; live slots in sparse slabs are compacted by
 //!   copy-then-[`GcOwner::repoint`]-then-free, so at any crash point at

@@ -397,17 +397,43 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         None
     }
 
+    /// Stages a publish of `(key, value)` into cell `idx` and splices the
+    /// key's tag into its lane right away, as `GroupHash` does with its
+    /// fingerprint cache. Safe because every iceberg write runs under
+    /// `&mut self` (no reader can see the lane before the commit), slot
+    /// planning reads only the bitmap and the session, and open/recover
+    /// rebuild the lanes from the committed cells.
+    fn stage_insert(
+        &mut self,
+        pm: &mut P,
+        sess: &mut BatchSession<K, V>,
+        idx: u64,
+        key: &K,
+        value: &V,
+    ) {
+        if sess.is_empty() {
+            self.journal.begin(pm);
+        }
+        sess.stage_publish(pm, &mut self.journal, self.store, idx, key, value);
+        self.meta.set(idx, self.tag_of(key));
+    }
+
+    /// Stages a retract of cell `idx` and clears its tag lane (same
+    /// argument as [`Iceberg::stage_insert`]).
+    fn stage_remove(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>, idx: u64) {
+        if sess.is_empty() {
+            self.journal.begin(pm);
+        }
+        sess.stage_retract(pm, &mut self.journal, self.store, idx);
+        self.meta.clear(idx);
+    }
+
     /// Group-commits a chunk of staged publishes, bumping the count by the
-    /// chunk size in the same commit (tag lanes splice after the flips).
+    /// chunk size in the same commit.
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) + n as u64;
-        sess.commit_tagged(
-            pm,
-            &mut self.journal,
-            Some((self.header.count_off(), count)),
-            &self.meta,
-        );
+        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
         n
     }
 
@@ -416,12 +442,7 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
     fn commit_remove_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) - n as u64;
-        sess.commit_tagged(
-            pm,
-            &mut self.journal,
-            Some((self.header.count_off(), count)),
-            &self.meta,
-        );
+        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
         n
     }
 }
@@ -469,11 +490,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
                 break;
             };
             self.note_insert(probes, occupied);
-            if sess.is_empty() {
-                self.journal.begin(pm);
-            }
-            let tag = self.tag_of(key);
-            sess.stage_publish_tagged(pm, &mut self.journal, self.store, idx, tag, key, value);
+            self.stage_insert(pm, &mut sess, idx, key, value);
             if sess.staged() >= chunk_cap {
                 committed += self.commit_insert_chunk(pm, &mut sess);
             }
@@ -512,10 +529,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
             if sess.is_retracted(&self.store, idx) {
                 continue; // duplicate key in the batch
             }
-            if sess.is_empty() {
-                self.journal.begin(pm);
-            }
-            sess.stage_retract_tagged(pm, &mut self.journal, self.store, idx);
+            self.stage_remove(pm, &mut sess, idx);
             if sess.staged() >= chunk_cap {
                 removed += self.commit_remove_chunk(pm, &mut sess);
             }
@@ -608,8 +622,7 @@ impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for Iceberg<P, K, V> 
             return false;
         }
         let mut sess = BatchSession::new();
-        self.journal.begin(pm);
-        sess.stage_retract_tagged(pm, &mut self.journal, self.store, i);
+        self.stage_remove(pm, &mut sess, i);
         self.commit_remove_chunk(pm, &mut sess);
         true
     }
@@ -777,6 +790,51 @@ mod tests {
         assert_eq!(st.flushes, 2 * 8 + 1);
         for (k, v) in items {
             assert_eq!(t.get(&pm, &k), Some(v));
+        }
+    }
+
+    /// Tags splice at stage time, so an insert batch cut short by a full
+    /// table and a remove batch that names keys twice must both leave
+    /// every tag lane coherent with its committed cell (which
+    /// `check_consistency` verifies), at the pinned K + 2 fences.
+    #[test]
+    fn staged_tags_stay_coherent_across_partial_and_duplicate_batches() {
+        for meta in [MetaMode::Off, MetaMode::On] {
+            let (mut pm, mut t) = make(128, ConsistencyMode::None, meta);
+            let items: Vec<(u64, u64)> = (0..1000u64).map(|k| (k, k + 7)).collect();
+            pm.reset_stats();
+            let err = t.insert_batch(&mut pm, &items).unwrap_err();
+            assert_eq!(err.error, InsertError::TableFull, "{meta:?}");
+            let k = err.committed as u64;
+            assert!(k > 0 && k < 1000, "{meta:?}: {k} committed");
+            let st = pm.stats();
+            assert_eq!((st.flushes, st.fences, st.atomic_writes), (2 * k + 1, k + 2, k + 1));
+            assert_eq!(t.len(&pm), k);
+            t.check_consistency(&pm).unwrap();
+            assert_eq!(t.get(&pm, &(k - 1)), Some(k + 6));
+            assert_eq!(t.get(&pm, &k), None, "{meta:?}: the refused key is absent");
+
+            pm.reset_stats();
+            let removed = t.remove_batch(&mut pm, &[0, 1, 0, 2, 5000, 1]);
+            assert_eq!(removed, 3, "{meta:?}");
+            let st = pm.stats();
+            assert_eq!((st.flushes, st.fences, st.atomic_writes), (7, 5, 4));
+            t.check_consistency(&pm).unwrap();
+            for key in 0..3u64 {
+                assert_eq!(t.get(&pm, &key), None, "{meta:?}: key {key}");
+            }
+            assert_eq!(t.get(&pm, &3), Some(10));
+
+            // The freed lanes take single ops at the pinned 3/3/2.
+            pm.reset_stats();
+            t.insert(&mut pm, 0, 99).unwrap();
+            let st = pm.stats();
+            assert_eq!((st.flushes, st.fences, st.atomic_writes), (3, 3, 2));
+            pm.reset_stats();
+            assert!(t.remove(&mut pm, &3));
+            let st = pm.stats();
+            assert_eq!((st.flushes, st.fences, st.atomic_writes), (3, 3, 2));
+            t.check_consistency(&pm).unwrap();
         }
     }
 }

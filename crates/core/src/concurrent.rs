@@ -68,6 +68,14 @@ use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 /// an expansion is in flight.
 const MIGRATE_PER_OP: u64 = 32;
 
+/// The configuration a shard grows into: twice the cells per level,
+/// same seed and ablation knobs.
+fn doubled_config(cfg: &GroupHashConfig) -> GroupHashConfig {
+    let mut c = *cfg;
+    c.cells_per_level *= 2;
+    c
+}
+
 /// The old `(pool, table)` pair of a shard mid-expansion, draining into
 /// the shard's active pair.
 struct Draining<P: Pmem, K: HashKey, V: Pod> {
@@ -309,7 +317,7 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
         while inner.draining.is_some() {
             self.step_migration(i, inner, u64::MAX);
         }
-        let new_cfg = inner.table.doubled_config();
+        let new_cfg = doubled_config(inner.table.config());
         let size = GroupHash::<P, K, V>::required_size(&new_cfg);
         let mut factory = self.make_pool.lock();
         let mut pm = (*factory)(i, size);
@@ -802,6 +810,14 @@ mod tests {
             SimPmem::new(size, SimConfig::fast_test())
         })
         .unwrap()
+    }
+
+    #[test]
+    fn doubled_config_doubles_cells() {
+        let d = doubled_config(&GroupHashConfig::new(128, 16));
+        assert_eq!(d.cells_per_level, 256);
+        assert_eq!(d.group_size, 16);
+        d.validate().unwrap();
     }
 
     #[test]

@@ -69,9 +69,7 @@ mod analysis;
 mod bulk;
 mod concurrent;
 mod config;
-mod expand;
 mod fpcache;
-mod resize;
 mod table;
 
 #[cfg(test)]
@@ -80,7 +78,6 @@ pub(crate) mod testutil;
 pub use analysis::{GroupFill, TableAnalysis};
 pub use bulk::BulkLoadReport;
 pub use concurrent::ShardedGroupHash;
-pub use resize::ResizingGroupHash;
 pub use config::{ChoiceMode, CommitStrategy, CountMode, FpMode, GroupHashConfig, ProbeLayout};
 pub use table::{GroupHash, GroupReadView, SharedCommit, TableClaims};
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's table stores fixed-size cells; real stores (the
 //! memcached-class systems its introduction cites) hold string keys and
-//! variable-size values. `PmemKv` composes the workspace's pieces into
-//! that system, inside one persistent pool:
+//! variable-size values. [`Store`] composes the workspace's pieces into
+//! that system. Each of its shards is one engine inside one persistent
+//! pool:
 //!
 //! * a [`GroupHash`] **index** mapping 16-byte key fingerprints
 //!   (MurmurHash3 x64-128) to 8-byte persistent pointers;
@@ -17,7 +18,7 @@
 //!
 //! Every mutation is a sequence of individually-committed steps ordered
 //! so that a crash anywhere leaves the store *consistent*, at worst
-//! *leaking* heap slots that [`PmemKv::gc`] reclaims:
+//! *leaking* heap slots that [`Store::gc`] reclaims:
 //!
 //! * **insert**: commit blob → commit index entry. Crash between: an
 //!   unreferenced blob (leak).
@@ -28,19 +29,17 @@
 //!   Crash between: a leak.
 //!
 //! The index itself is exactly the paper's structure, so its own
-//! crash-recovery story (Algorithm 4) carries over; [`PmemKv::recover`]
-//! runs it and then runs [`PmemKv::gc_recover`] — the heap's bounded,
-//! crash-resumable GC drainer driven with the index as [`GcOwner`] —
-//! until every unreachable blob is reclaimed. The same drainer is
-//! available incrementally online via [`PmemKv::gc_step`] /
-//! [`PmemKv::gc_pending`], mirroring `migrate_into`'s choreography.
+//! crash-recovery story (Algorithm 4) carries over; [`Store::recover`]
+//! runs it and then the heap's bounded, crash-resumable GC drainer,
+//! driven with the index as [`GcOwner`], until every unreachable blob is
+//! reclaimed. The same drainer runs incrementally online via
+//! [`Store::gc_step`].
 
 use group_hash::{CommitStrategy, FpMode, GroupHash, GroupHashConfig, GroupReadView};
 use nvm_alloc::{AllocError, FragStats, GcOwner, HeapConfig, HeapReadView, PmemHeap, PmemPtr};
 use nvm_hashfn::murmur3_x64_128;
-use nvm_metrics::{HeapCounters, MetricsRegistry};
 use nvm_pmem::{align_up, Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
-use nvm_table::{ConsistencyMode, HashScheme, InsertError, MigrationSource, TableError};
+use nvm_table::{ConsistencyMode, HashScheme, InsertError, TableError};
 use std::collections::{HashMap, HashSet};
 
 mod store;
@@ -203,11 +202,11 @@ fn try_decode_blob(blob: &[u8]) -> Option<(&[u8], &[u8])> {
     Some((key, &blob[4 + klen..]))
 }
 
-/// The engine. All persistent state lives in its pool region.
-pub struct PmemKv<P: Pmem> {
+/// One shard's engine behind [`Store`]. All persistent state lives in
+/// its pool region.
+pub(crate) struct PmemKv<P: Pmem> {
     index: GroupHash<P, [u8; 16], u64>,
     heap: PmemHeap,
-    region: Region,
 }
 
 /// The index as the heap's [`GcOwner`]: a blob is live iff its stored
@@ -283,16 +282,7 @@ impl<P: Pmem> PmemKv<P> {
     }
 
     /// Creates a fresh store in `region`.
-    #[deprecated(note = "construct through the `Store` facade: `StoreBuilder::new(..).create(..)`")]
     pub fn create(pm: &mut P, region: Region, config: &KvConfig) -> Result<Self, KvError> {
-        Self::create_impl(pm, region, config)
-    }
-
-    pub(crate) fn create_impl(
-        pm: &mut P,
-        region: Region,
-        config: &KvConfig,
-    ) -> Result<Self, KvError> {
         let (header_r, index_r, heap_r) = Self::split(region, config)?;
         let index = GroupHash::create(pm, index_r, Self::index_config(config))
             .map_err(KvError::Table)?;
@@ -306,15 +296,11 @@ impl<P: Pmem> PmemKv<P> {
         pm.persist(header_r.off, Self::HEADER_LEN);
         pm.atomic_write_u64(header_r.off, MAGIC);
         pm.persist(header_r.off, 8);
-        Ok(PmemKv {
-            index,
-            heap,
-            region,
-        })
+        Ok(PmemKv { index, heap })
     }
 
     /// Reads the persisted configuration of a store in `region`.
-    pub fn read_config(pm: &P, region: Region) -> Result<KvConfig, KvError> {
+    fn read_config(pm: &P, region: Region) -> Result<KvConfig, KvError> {
         let off = align_up(region.off, CACHELINE);
         if !region.contains(off, Self::HEADER_LEN) {
             return Err(KvError::Layout("region too small for a KV header".into()));
@@ -337,21 +323,12 @@ impl<P: Pmem> PmemKv<P> {
 
     /// Re-opens a store from its persisted header — no configuration
     /// needed.
-    #[deprecated(note = "construct through the `Store` facade: `StoreBuilder::new(..).open(..)`")]
     pub fn open(pm: &mut P, region: Region) -> Result<Self, KvError> {
-        Self::open_impl(pm, region)
-    }
-
-    pub(crate) fn open_impl(pm: &mut P, region: Region) -> Result<Self, KvError> {
         let config = Self::read_config(pm, region)?;
         let (_, index_r, heap_r) = Self::split(region, &config)?;
         let index = GroupHash::open(pm, index_r).map_err(KvError::Table)?;
         let heap = PmemHeap::open(pm, heap_r).map_err(KvError::Heap)?;
-        Ok(PmemKv {
-            index,
-            heap,
-            region,
-        })
+        Ok(PmemKv { index, heap })
     }
 
     /// Reads the blob behind an index entry and checks the stored key.
@@ -361,49 +338,19 @@ impl<P: Pmem> PmemKv<P> {
         (stored_key == key).then(|| value.to_vec())
     }
 
-    /// Stores `key → value` (insert or update).
-    pub fn set(&mut self, pm: &mut P, key: &[u8], value: &[u8]) -> Result<(), KvError> {
-        let fp = fingerprint(key);
-        let blob = encode_blob(key, value);
-        match self.index.get(pm, &fp) {
-            Some(old_ptr) => {
-                // Update: commit new blob, atomically swap the pointer,
-                // then free the old blob.
-                let new_ptr = self.heap.alloc(pm, &blob)?;
-                let swapped = self.index.update_in_place(pm, &fp, new_ptr.0);
-                debug_assert!(swapped);
-                // Old blob now unreachable; reclaim it.
-                let _ = self.heap.free(pm, PmemPtr(old_ptr));
-                Ok(())
-            }
-            None => {
-                let ptr = self.heap.alloc(pm, &blob)?;
-                match self.index.insert(pm, fp, ptr.0) {
-                    Ok(()) => Ok(()),
-                    Err(InsertError::TableFull) => {
-                        // Index refused: roll the blob back (still crash
-                        // safe — worst case it leaks and gc reclaims).
-                        let _ = self.heap.free(pm, ptr);
-                        Err(KvError::IndexFull)
-                    }
-                    Err(e) => unreachable!("insert: {e}"),
-                }
-            }
-        }
-    }
-
     /// Stores many pairs with fence-coalesced heap *and* index commits.
     ///
     /// All K blobs commit through one [`PmemHeap::alloc_batch`] (2
     /// fences for the whole batch instead of 2 per blob); then updates
-    /// swap their pointer in place (same per-op choreography as
-    /// [`PmemKv::set`]) and fresh keys group-commit through the index's
-    /// batch insert (~K+2 fences instead of 3K). A batch of K fresh
-    /// inserts therefore costs ~K+4 fences end to end — the engine-level
-    /// realization of the paper's group-commit arithmetic. Crash
+    /// swap their 8-byte pointer in place and free the old blob, and
+    /// fresh keys group-commit through the index's batch insert (~K+2
+    /// fences instead of 3K). A batch of K fresh inserts therefore costs
+    /// ~K+4 fences end to end — the engine-level realization of the
+    /// paper's group-commit arithmetic. Crash
     /// ordering is unchanged: blobs commit before index entries, and a
     /// crash mid-batch durably keeps some prefix of the new entries
-    /// (the rest leak and [`PmemKv::gc`] reclaims them).
+    /// (the rest leak and [`PmemKv::gc`] reclaims them). A batch of one
+    /// is the single-key write.
     ///
     /// Duplicate keys within the batch collapse in DRAM (last write
     /// wins) before anything touches the pool. If the heap cannot place
@@ -464,69 +411,10 @@ impl<P: Pmem> PmemKv<P> {
         }
     }
 
-    /// Fetches `key`'s value.
-    pub fn get(&self, pm: &P, key: &[u8]) -> Option<Vec<u8>> {
-        self.try_get(pm, key).ok().flatten()
-    }
-
-    /// Fetches many keys at once, one answer per key in input order —
-    /// same results as calling [`PmemKv::get`] per element, pipelined for
-    /// NVM latency: fingerprint every key up front, resolve all index
-    /// probes through the vectorized [`GroupHash::get_batch`] (which
-    /// software-prefetches every candidate line before comparing any),
-    /// software-prefetch every hit's heap blob, then decode and
-    /// key-verify the blobs against warm cache. Still a pure read: zero
-    /// flushes, zero fences, zero writes.
-    pub fn get_batch(&self, pm: &P, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        let fps: Vec<[u8; 16]> = keys.iter().map(|k| fingerprint(k)).collect();
-        let ptrs = self.index.get_batch(pm, &fps);
-        // Warm each hit's first blob line (length prefix + leading bytes)
-        // before any decode dereferences it.
-        for ptr in ptrs.iter().flatten() {
-            pm.prefetch(*ptr as usize, 8);
-        }
-        keys.iter()
-            .zip(ptrs)
-            .map(|(key, ptr)| self.load_checked(pm, ptr?, key))
-            .collect()
-    }
-
-    /// Fetches `key`'s value, distinguishing "not stored" (`Ok(None)`)
-    /// from a heap read failure — a dangling index pointer — which
-    /// [`PmemKv::get`] silently folds into `None`.
-    pub fn try_get(&self, pm: &P, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
-        let fp = fingerprint(key);
-        let Some(ptr) = self.index.get(pm, &fp) else {
-            return Ok(None);
-        };
-        let blob = self
-            .heap
-            .read(pm, PmemPtr(ptr))
-            .map_err(|e| KvError::Corrupt(format!("index points at bad blob: {e}")))?;
-        let (stored_key, value) = decode_blob(&blob);
-        Ok((stored_key == key).then(|| value.to_vec()))
-    }
-
-    /// Deletes `key`, returning whether it was present.
-    pub fn delete(&mut self, pm: &mut P, key: &[u8]) -> bool {
-        let fp = fingerprint(key);
-        let Some(ptr) = self.index.get(pm, &fp) else {
-            return false;
-        };
-        // Verify before destroying (fingerprint collision paranoia).
-        if self.load_checked(pm, ptr, key).is_none() {
-            return false;
-        }
-        let removed = self.index.remove(pm, &fp);
-        debug_assert!(removed);
-        let _ = self.heap.free(pm, PmemPtr(ptr));
-        true
-    }
-
     /// Deletes many keys with one fence-coalesced index commit per chunk;
     /// returns how many were present and removed. Index entries retract
     /// first, then the blobs free — a crash between the two leaks, which
-    /// [`PmemKv::gc`] reclaims, exactly like single-key deletes.
+    /// [`PmemKv::gc`] reclaims.
     pub fn delete_batch(&mut self, pm: &mut P, keys: &[&[u8]]) -> usize {
         let mut fps: Vec<[u8; 16]> = Vec::new();
         let mut ptrs: Vec<u64> = Vec::new();
@@ -560,25 +448,14 @@ impl<P: Pmem> PmemKv<P> {
         self.index.len(pm)
     }
 
-    /// True when the store holds no entries.
-    pub fn is_empty(&self, pm: &P) -> bool {
-        self.len(pm) == 0
-    }
-
     /// Post-crash recovery: repairs the index (Algorithm 4), then runs
     /// the heap drainer until every unreachable blob — leaked by a crash
-    /// mid-`set`/`set_batch`/`delete` or orphaned by an interrupted GC
-    /// move — is reclaimed. Returns the number of leaks reclaimed.
+    /// mid-`set_batch`/`delete_batch` or orphaned by an interrupted GC
+    /// move — is reclaimed, so afterwards *every* heap slot is referenced
+    /// by the index (`usage()` entries == slots). Returns the number of
+    /// leaks reclaimed.
     pub fn recover(&mut self, pm: &mut P) -> u64 {
         self.index.recover(pm);
-        self.gc_recover(pm)
-    }
-
-    /// The recovery-time heap sweep: finishes any GC pass interrupted by
-    /// a crash, then runs one full fresh pass, so afterwards *every*
-    /// heap slot is referenced by the index (`usage()` entries == slots).
-    /// Returns the number of unreachable blobs reclaimed.
-    pub fn gc_recover(&mut self, pm: &mut P) -> u64 {
         self.gc(pm)
     }
 
@@ -594,18 +471,12 @@ impl<P: Pmem> PmemKv<P> {
             .expect("heap GC over its own pointers cannot fail")
     }
 
-    /// True while a GC pass is in flight (persisted; survives crashes).
-    /// Keep calling [`PmemKv::gc_step`] until it returns `Ok(false)`.
-    pub fn gc_pending(&self, pm: &P) -> bool {
-        self.heap.gc_pending(pm)
-    }
-
     /// Runs one bounded GC increment over up to `max_slots` heap slots —
-    /// the online counterpart of [`PmemKv::gc_recover`], shaped exactly
-    /// like [`PmemKv::migrate_into`]: a persisted cursor makes the drain
-    /// resumable across crashes, dead blobs are freed, and live blobs in
-    /// sparse slabs are compacted with at most one transient duplicate.
-    /// Returns `Ok(true)` while the pass is incomplete.
+    /// the online counterpart of [`PmemKv::recover`]'s sweep: a persisted
+    /// cursor makes the drain resumable across crashes, dead blobs are
+    /// freed, and live blobs in sparse slabs are compacted with at most
+    /// one transient duplicate. Returns `Ok(true)` while the pass is
+    /// incomplete.
     pub fn gc_step(&mut self, pm: &mut P, max_slots: u64) -> Result<bool, KvError> {
         let mut owner = IndexOwner {
             index: &mut self.index,
@@ -619,7 +490,6 @@ impl<P: Pmem> PmemKv<P> {
     /// resolves to an allocated blob whose stored key fingerprints back
     /// to its index cell, and no two entries share a blob.
     pub fn check_consistency(&self, pm: &P) -> Result<(), KvError> {
-        use nvm_table::HashScheme;
         self.index.check_consistency(pm)?;
         let mut entries = Vec::new();
         self.index.for_each_entry(pm, |fp, ptr| {
@@ -656,76 +526,6 @@ impl<P: Pmem> PmemKv<P> {
         }
     }
 
-    /// True while an interrupted [`PmemKv::migrate_into`] still has
-    /// entries to move (including across a crash — the flag persists in
-    /// the index header). Keep calling `migrate_into` until it returns
-    /// `Ok(false)`.
-    pub fn migration_pending(&self, pm: &P) -> bool {
-        self.index.migration_active(pm)
-    }
-
-    /// Moves up to `max_moves` entries into `dst` (a store in another
-    /// region of the same pool, typically sized larger), returning
-    /// `Ok(true)` while entries remain — the kv-level counterpart of the
-    /// index's incremental online expansion, for when the *store* has
-    /// outgrown its region and must relocate wholesale without a
-    /// stop-the-world rebuild.
-    ///
-    /// Each moved entry is re-stored in `dst` under its original key
-    /// (blob copied into `dst`'s heap, fingerprint re-indexed), then
-    /// evicted here (index retract + heap free). The persisted migration
-    /// cursor in this store's index header makes the drain resumable:
-    /// after a crash, reopen both stores, run [`PmemKv::recover`] on
-    /// each, and keep calling `migrate_into` — re-moving the boundary
-    /// entry is an idempotent upsert in `dst`, so the cursor only needs
-    /// persisting once per call, not once per entry. Mid-drain, a key
-    /// lives in exactly one store except for the entry being moved,
-    /// which may transiently exist in both (with equal values); route
-    /// lookups `dst`-first and the window is invisible.
-    ///
-    /// On `Err` (e.g. `dst` full) the migration stays pending and no
-    /// entry is lost; the failing entry is still stored here.
-    pub fn migrate_into(
-        &mut self,
-        pm: &mut P,
-        dst: &mut PmemKv<P>,
-        max_moves: u64,
-    ) -> Result<bool, KvError> {
-        let total = self.index.migration_cells();
-        if !self.index.migration_active(pm) {
-            // Cursor first, flag second: a crash between the two leaves
-            // the flag clear, and the next call restarts cleanly.
-            self.index.set_migration_cursor(pm, 0);
-            self.index.set_migration_active(pm, true);
-        }
-        let mut cursor = self.index.migration_cursor(pm);
-        let mut moved = 0u64;
-        while cursor < total && moved < max_moves {
-            if let Some((_, ptr)) = self.index.entry_at(pm, cursor) {
-                let blob = self
-                    .heap
-                    .read(pm, PmemPtr(ptr))
-                    .map_err(|e| KvError::Corrupt(format!("index points at bad blob: {e}")))?;
-                let (key, value) = decode_blob(&blob);
-                if let Err(e) = dst.set(pm, key, value) {
-                    self.index.set_migration_cursor(pm, cursor);
-                    return Err(e);
-                }
-                let evicted = self.index.evict_cell(pm, cursor);
-                debug_assert!(evicted);
-                let _ = self.heap.free(pm, PmemPtr(ptr));
-                moved += 1;
-            }
-            cursor += 1;
-        }
-        self.index.set_migration_cursor(pm, cursor);
-        if cursor >= total {
-            self.index.set_migration_active(pm, false);
-            return Ok(false);
-        }
-        Ok(true)
-    }
-
     /// (index entries, heap slots allocated) — equal when there are no
     /// leaks.
     pub fn usage(&self, pm: &P) -> (u64, u64) {
@@ -751,42 +551,9 @@ impl<P: Pmem> PmemKv<P> {
             heap: self.heap.read_view(),
         }
     }
-
-    /// The store's pool region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
-    /// The store's observability snapshot: cumulative pmem counters,
-    /// cache-hierarchy counters when the backend models one, the value
-    /// heap's alloc/free/GC counters and per-slab write histogram under
-    /// `heap`, and — when built with the `instrument` feature — the
-    /// index's probe/occupancy/displacement histograms under `index`.
-    pub fn metrics(&self, pm: &P) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.set_pmem("pmem", &pm.stats());
-        if let Some(c) = pm.cache_stats() {
-            reg.set_cache("cache", &c);
-        }
-        let hs = self.heap.stats();
-        reg.set_heap(
-            "heap",
-            &HeapCounters::from_heap(
-                hs.allocs,
-                hs.frees,
-                hs.gc_moves,
-                hs.leaked_reclaimed,
-                self.heap.slab_writes(),
-            ),
-        );
-        if let Some(i) = HashScheme::<P, [u8; 16], u64>::instrumentation(&self.index) {
-            reg.set_instrumentation("index", i);
-        }
-        reg
-    }
 }
 
-/// A read-only facade over a [`PmemKv`]: fingerprint the key, probe the
+/// A read-only facade over one shard: fingerprint the key, probe the
 /// index through a [`GroupReadView`], then read + verify the heap blob —
 /// all through a bare [`PmemRead`] handle, no `&mut` pool access.
 #[derive(Debug, Clone)]
@@ -799,7 +566,7 @@ impl KvReadView {
     /// Fetches `key`'s value. Dangling index pointers and torn blobs
     /// (possible only when racing a writer without a validation
     /// protocol — the caller's seqlock retry then yields the correct
-    /// answer) read as `None`, like [`PmemKv::get`].
+    /// answer) read as `None`.
     pub fn get<R: PmemRead>(&self, pm: &R, key: &[u8]) -> Option<Vec<u8>> {
         let ptr = self.index.get(pm, &fingerprint(key))?;
         let blob = self.heap.read(pm, PmemPtr(ptr)).ok()?;
@@ -807,11 +574,13 @@ impl KvReadView {
         (stored_key == key).then(|| value.to_vec())
     }
 
-    /// Fetches many keys at once through a bare read handle — the view
-    /// analogue of [`PmemKv::get_batch`]: fingerprint everything, probe
-    /// the index via the vectorized [`GroupReadView::get_batch`],
+    /// Fetches many keys at once through a bare read handle, one answer
+    /// per key in input order — the same results as [`KvReadView::get`]
+    /// per key, pipelined for NVM latency: fingerprint everything, probe
+    /// the index via the vectorized [`GroupReadView::get_batch`]
+    /// (which prefetches every candidate line before comparing any),
     /// software-prefetch every hit's blob line, then decode + key-verify.
-    /// Answers come back one per key in input order.
+    /// A pure read: zero flushes, zero fences, zero writes.
     pub fn get_batch<R: PmemRead>(&self, pm: &R, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
         let fps: Vec<[u8; 16]> = keys.iter().map(|k| fingerprint(k)).collect();
         let ptrs = self.index.get_batch(pm, &fps);
@@ -837,8 +606,7 @@ impl KvReadView {
 #[cfg(test)]
 mod tests {
     // The engine tests exercise `PmemKv` directly, below the `Store`
-    // facade the deprecated constructors point users at.
-    #![allow(deprecated)]
+    // facade: writes through one-item batches, reads through the view.
 
     use super::*;
     use nvm_pmem::{CrashResolution, SimConfig, SimPmem};
@@ -856,149 +624,34 @@ mod tests {
         (pm, kv, region, cfg)
     }
 
-    /// Two stores side by side in one pool: `src` sized for `src_items`,
-    /// `dst` sized for `dst_items`.
-    fn setup_pair(
-        src_items: u64,
-        dst_items: u64,
-    ) -> (SimPmem, PmemKv<SimPmem>, PmemKv<SimPmem>, Region, Region) {
-        let src_cfg = KvConfig::for_capacity(src_items, 32);
-        let dst_cfg = KvConfig::for_capacity(dst_items, 32);
-        let src_size = PmemKv::<SimPmem>::required_size(&src_cfg);
-        let dst_size = PmemKv::<SimPmem>::required_size(&dst_cfg);
-        let mut pm = SimPmem::new(src_size + dst_size, SimConfig::fast_test());
-        let src_region = Region::new(0, src_size);
-        let dst_region = Region::new(src_size, dst_size);
-        let src = PmemKv::create(&mut pm, src_region, &src_cfg).unwrap();
-        let dst = PmemKv::create(&mut pm, dst_region, &dst_cfg).unwrap();
-        (pm, src, dst, src_region, dst_region)
+    fn set(
+        kv: &mut PmemKv<SimPmem>,
+        pm: &mut SimPmem,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<(), KvError> {
+        kv.set_batch(pm, &[(key, value)])
     }
 
-    #[test]
-    fn migrate_into_moves_store_in_bounded_steps() {
-        let (mut pm, mut src, mut dst, _, _) = setup_pair(64, 256);
-        for i in 0..50u32 {
-            let key = format!("mig-{i}");
-            src.set(&mut pm, key.as_bytes(), &vec![i as u8; (i % 40) as usize])
-                .unwrap();
-        }
-        dst.set(&mut pm, b"resident", b"already-here").unwrap();
-
-        let mut steps = 0u32;
-        while src.migrate_into(&mut pm, &mut dst, 7).unwrap() {
-            assert!(src.migration_pending(&pm));
-            steps += 1;
-            assert!(steps < 10_000, "drain never finished");
-        }
-        assert!(steps > 1, "max_moves=7 over 50 entries must take many steps");
-
-        assert!(src.is_empty(&pm));
-        assert!(!src.migration_pending(&pm));
-        assert_eq!(dst.len(&pm), 51);
-        for i in 0..50u32 {
-            let key = format!("mig-{i}");
-            assert_eq!(src.get(&pm, key.as_bytes()), None);
-            assert_eq!(
-                dst.get(&pm, key.as_bytes()),
-                Some(vec![i as u8; (i % 40) as usize]),
-                "{key}"
-            );
-        }
-        assert_eq!(dst.get(&pm, b"resident").as_deref(), Some(&b"already-here"[..]));
-        src.check_consistency(&pm).unwrap();
-        dst.check_consistency(&pm).unwrap();
-        assert_eq!(src.usage(&pm), (0, 0));
-        let (entries, slots) = dst.usage(&pm);
-        assert_eq!(entries, slots, "migration leaked dst heap slots");
+    fn delete(kv: &mut PmemKv<SimPmem>, pm: &mut SimPmem, key: &[u8]) -> bool {
+        kv.delete_batch(pm, &[key]) == 1
     }
 
-    #[test]
-    fn crash_anywhere_during_migrate_into_is_safe() {
-        use nvm_pmem::{run_with_crash, CrashPlan};
-        let (mut pm0, mut src0, _dst0, src_region, dst_region) = setup_pair(32, 128);
-        let n = 12u32;
-        for i in 0..n {
-            src0.set(&mut pm0, format!("ck-{i}").as_bytes(), &[i as u8; 9])
-                .unwrap();
-        }
-        drop(src0);
-
-        let mut at = 0u64;
-        loop {
-            let mut pm = pm0.clone();
-            let mut src = PmemKv::open(&mut pm, src_region).unwrap();
-            let mut dst = PmemKv::open(&mut pm, dst_region).unwrap();
-            let base = pm.events();
-            pm.set_crash_plan(Some(CrashPlan {
-                at_event: base + at,
-            }));
-            let done = run_with_crash(|| {
-                while src.migrate_into(&mut pm, &mut dst, 3).unwrap() {}
-            })
-            .is_ok();
-            pm.crash(CrashResolution::Random(at));
-
-            // Reopen, recover, and audit the torn state.
-            let mut src = PmemKv::open(&mut pm, src_region).unwrap();
-            let mut dst = PmemKv::open(&mut pm, dst_region).unwrap();
-            src.recover(&mut pm);
-            dst.recover(&mut pm);
-            src.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("src at +{at}: {e}"));
-            dst.check_consistency(&pm)
-                .unwrap_or_else(|e| panic!("dst at +{at}: {e}"));
-            let mut dups = 0u64;
-            for i in 0..n {
-                let key = format!("ck-{i}");
-                let want = vec![i as u8; 9];
-                let s = src.get(&pm, key.as_bytes());
-                let d = dst.get(&pm, key.as_bytes());
-                // Every copy that exists is intact, and at least one does.
-                for got in [&s, &d].into_iter().flatten() {
-                    assert_eq!(*got, want, "{key} at +{at}");
-                }
-                assert!(s.is_some() || d.is_some(), "{key} lost at +{at}");
-                if s.is_some() && d.is_some() {
-                    dups += 1;
-                }
-            }
-            // Only the entry in flight can transiently live in both.
-            assert!(dups <= 1, "{dups} duplicated keys at +{at}");
-
-            // Resume the drain to completion; the boundary re-move is an
-            // idempotent upsert.
-            while src.migrate_into(&mut pm, &mut dst, 3).unwrap() {}
-            assert!(src.is_empty(&pm));
-            assert!(!src.migration_pending(&pm));
-            assert_eq!(dst.len(&pm), n as u64);
-            for i in 0..n {
-                let key = format!("ck-{i}");
-                assert_eq!(dst.get(&pm, key.as_bytes()), Some(vec![i as u8; 9]), "{key}");
-            }
-            src.check_consistency(&pm).unwrap();
-            dst.check_consistency(&pm).unwrap();
-            let (entries, slots) = dst.usage(&pm);
-            assert_eq!(entries, slots, "leak after resumed drain at +{at}");
-
-            if done {
-                break;
-            }
-            at += 1;
-            assert!(at < 5000, "migration never completed");
-        }
+    fn get(kv: &PmemKv<SimPmem>, pm: &SimPmem, key: &[u8]) -> Option<Vec<u8>> {
+        kv.read_view().get(pm, key)
     }
 
     #[test]
     fn set_get_delete_roundtrip() {
         let (mut pm, mut kv, _, _) = setup(100);
-        kv.set(&mut pm, b"user:1", b"ada").unwrap();
-        kv.set(&mut pm, b"user:2", b"grace").unwrap();
-        assert_eq!(kv.get(&pm, b"user:1").as_deref(), Some(&b"ada"[..]));
-        assert_eq!(kv.get(&pm, b"user:2").as_deref(), Some(&b"grace"[..]));
-        assert_eq!(kv.get(&pm, b"user:3"), None);
-        assert!(kv.delete(&mut pm, b"user:1"));
-        assert_eq!(kv.get(&pm, b"user:1"), None);
-        assert!(!kv.delete(&mut pm, b"user:1"));
+        set(&mut kv, &mut pm, b"user:1", b"ada").unwrap();
+        set(&mut kv, &mut pm, b"user:2", b"grace").unwrap();
+        assert_eq!(get(&kv, &pm, b"user:1").as_deref(), Some(&b"ada"[..]));
+        assert_eq!(get(&kv, &pm, b"user:2").as_deref(), Some(&b"grace"[..]));
+        assert_eq!(get(&kv, &pm, b"user:3"), None);
+        assert!(delete(&mut kv, &mut pm, b"user:1"));
+        assert_eq!(get(&kv, &pm, b"user:1"), None);
+        assert!(!delete(&mut kv, &mut pm, b"user:1"));
         assert_eq!(kv.len(&pm), 1);
         kv.check_consistency(&pm).unwrap();
         assert_eq!(kv.usage(&pm), (1, 1));
@@ -1007,7 +660,7 @@ mod tests {
     #[test]
     fn batch_set_get_delete_roundtrip() {
         let (mut pm, mut kv, _, _) = setup(300);
-        kv.set(&mut pm, b"pre", b"existing").unwrap();
+        set(&mut kv, &mut pm, b"pre", b"existing").unwrap();
         let items: Vec<(Vec<u8>, Vec<u8>)> = (0..100u32)
             .map(|i| (format!("bk-{i}").into_bytes(), vec![i as u8; 16]))
             .collect();
@@ -1017,7 +670,7 @@ mod tests {
             .collect();
         kv.set_batch(&mut pm, &refs).unwrap();
         for (k, v) in &items {
-            assert_eq!(kv.get(&pm, k).as_deref(), Some(v.as_slice()));
+            assert_eq!(get(&kv, &pm, k).as_deref(), Some(v.as_slice()));
         }
         assert_eq!(kv.len(&pm), 101);
         // Updates and duplicate keys inside one batch: last write wins.
@@ -1030,8 +683,8 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(kv.get(&pm, b"pre").as_deref(), Some(&b"updated"[..]));
-        assert_eq!(kv.get(&pm, b"dup").as_deref(), Some(&b"second"[..]));
+        assert_eq!(get(&kv, &pm, b"pre").as_deref(), Some(&b"updated"[..]));
+        assert_eq!(get(&kv, &pm, b"dup").as_deref(), Some(&b"second"[..]));
         kv.check_consistency(&pm).unwrap();
         // Batch delete with a duplicate and a missing key mixed in.
         let kill: Vec<&[u8]> = vec![
@@ -1042,29 +695,11 @@ mod tests {
             b"dup".as_slice(),
         ];
         assert_eq!(kv.delete_batch(&mut pm, &kill), 3);
-        assert_eq!(kv.get(&pm, b"bk-0"), None);
-        assert_eq!(kv.get(&pm, b"dup"), None);
+        assert_eq!(get(&kv, &pm, b"bk-0"), None);
+        assert_eq!(get(&kv, &pm, b"dup"), None);
         kv.check_consistency(&pm).unwrap();
         let (entries, slots) = kv.usage(&pm);
         assert_eq!(entries, slots, "batch ops leaked heap slots");
-    }
-
-    #[test]
-    fn try_get_distinguishes_missing_from_corrupt() {
-        let (mut pm, mut kv, _, _) = setup(64);
-        kv.set(&mut pm, b"k", b"v").unwrap();
-        assert_eq!(
-            kv.try_get(&pm, b"k").unwrap().as_deref(),
-            Some(&b"v"[..])
-        );
-        assert_eq!(kv.try_get(&pm, b"absent").unwrap(), None);
-        // Free the blob out from under the index: try_get must report the
-        // dangling pointer instead of pretending the key is absent.
-        let mut ptr = 0;
-        kv.index.for_each_entry(&pm, |_, p| ptr = p);
-        kv.heap.free(&mut pm, PmemPtr(ptr)).unwrap();
-        assert!(matches!(kv.try_get(&pm, b"k"), Err(KvError::Corrupt(_))));
-        assert_eq!(kv.get(&pm, b"k"), None);
     }
 
     #[test]
@@ -1074,7 +709,7 @@ mod tests {
         // degrade to a miss (the caller's seqlock retry corrects it),
         // never slice out of bounds or panic.
         let (mut pm, mut kv, _, _) = setup(64);
-        kv.set(&mut pm, b"k", b"value").unwrap();
+        set(&mut kv, &mut pm, b"k", b"value").unwrap();
         let view = kv.read_view();
         assert_eq!(view.get(&pm, b"k").as_deref(), Some(&b"value"[..]));
         let mut ptr = 0;
@@ -1105,33 +740,18 @@ mod tests {
         let size = PmemKv::<SimPmem>::required_size(&cfg);
         let mut pm = SimPmem::new(size, SimConfig::fast_test());
         let mut kv = PmemKv::create(&mut pm, Region::new(0, size), &cfg).unwrap();
-        kv.set(&mut pm, b"a", b"b").unwrap();
-        assert_eq!(kv.get(&pm, b"a").as_deref(), Some(&b"b"[..]));
-    }
-
-    #[test]
-    fn metrics_snapshot_has_pmem_counters() {
-        let (mut pm, mut kv, _, _) = setup(100);
-        kv.set(&mut pm, b"k", b"v").unwrap();
-        let json = kv.metrics(&pm).to_string_pretty();
-        assert!(json.contains("\"pmem\""), "{json}");
-        assert!(json.contains("\"flushes\""), "{json}");
-        // With `instrument` (directly or via feature unification) the
-        // index section carries the probe histogram.
-        if cfg!(feature = "instrument") {
-            assert!(json.contains("\"index\""), "{json}");
-            assert!(json.contains("\"probe\""), "{json}");
-        }
+        set(&mut kv, &mut pm, b"a", b"b").unwrap();
+        assert_eq!(get(&kv, &pm, b"a").as_deref(), Some(&b"b"[..]));
     }
 
     #[test]
     fn update_replaces_and_reclaims() {
         let (mut pm, mut kv, _, _) = setup(100);
-        kv.set(&mut pm, b"k", b"small").unwrap();
-        kv.set(&mut pm, b"k", b"a much longer value that needs a bigger class")
+        set(&mut kv, &mut pm, b"k", b"small").unwrap();
+        set(&mut kv, &mut pm, b"k", b"a much longer value that needs a bigger class")
             .unwrap();
         assert_eq!(
-            kv.get(&pm, b"k").as_deref(),
+            get(&kv, &pm, b"k").as_deref(),
             Some(&b"a much longer value that needs a bigger class"[..])
         );
         // No leak: old blob was freed.
@@ -1145,12 +765,12 @@ mod tests {
         for i in 0..300u32 {
             let key = format!("key-{i}");
             let value = vec![i as u8; (i % 200) as usize];
-            kv.set(&mut pm, key.as_bytes(), &value).unwrap();
+            set(&mut kv, &mut pm, key.as_bytes(), &value).unwrap();
         }
         for i in 0..300u32 {
             let key = format!("key-{i}");
             assert_eq!(
-                kv.get(&pm, key.as_bytes()),
+                get(&kv, &pm, key.as_bytes()),
                 Some(vec![i as u8; (i % 200) as usize]),
                 "{key}"
             );
@@ -1162,11 +782,11 @@ mod tests {
     #[test]
     fn reopen_preserves_store() {
         let (mut pm, mut kv, region, _cfg) = setup(100);
-        kv.set(&mut pm, b"alpha", b"1").unwrap();
-        kv.set(&mut pm, b"beta", b"2").unwrap();
+        set(&mut kv, &mut pm, b"alpha", b"1").unwrap();
+        set(&mut kv, &mut pm, b"beta", b"2").unwrap();
         drop(kv);
         let kv2 = PmemKv::open(&mut pm, region).unwrap();
-        assert_eq!(kv2.get(&pm, b"alpha").as_deref(), Some(&b"1"[..]));
+        assert_eq!(get(&kv2, &pm, b"alpha").as_deref(), Some(&b"1"[..]));
         assert_eq!(kv2.len(&pm), 2);
         kv2.check_consistency(&pm).unwrap();
     }
@@ -1174,7 +794,7 @@ mod tests {
     #[test]
     fn gc_reclaims_orphans() {
         let (mut pm, mut kv, _, _) = setup(100);
-        kv.set(&mut pm, b"live", b"v").unwrap();
+        set(&mut kv, &mut pm, b"live", b"v").unwrap();
         // Fabricate a leak: allocate directly in the heap, bypassing the
         // index (exactly the state a crash between blob and index commit
         // leaves behind).
@@ -1182,7 +802,7 @@ mod tests {
         assert_eq!(kv.usage(&pm), (1, 2));
         assert_eq!(kv.gc(&mut pm), 1);
         assert_eq!(kv.usage(&pm), (1, 1));
-        assert_eq!(kv.get(&pm, b"live").as_deref(), Some(&b"v"[..]));
+        assert_eq!(get(&kv, &pm, b"live").as_deref(), Some(&b"v"[..]));
         kv.check_consistency(&pm).unwrap();
     }
 
@@ -1190,18 +810,18 @@ mod tests {
     fn crash_anywhere_in_set_update_delete_is_safe() {
         use nvm_pmem::{run_with_crash, CrashPlan};
         let (mut pm0, mut kv0, region, _cfg) = setup(64);
-        kv0.set(&mut pm0, b"stable", b"rock").unwrap();
-        kv0.set(&mut pm0, b"victim", b"old-value").unwrap();
+        set(&mut kv0, &mut pm0, b"stable", b"rock").unwrap();
+        set(&mut kv0, &mut pm0, b"victim", b"old-value").unwrap();
 
         // Three in-flight ops to crash: fresh set, update, delete.
         type OpFn = fn(&mut PmemKv<SimPmem>, &mut SimPmem);
         let ops: [(&str, OpFn); 3] = [
-            ("set-new", |kv, pm| kv.set(pm, b"fresh", b"new").unwrap()),
+            ("set-new", |kv, pm| set(kv, pm, b"fresh", b"new").unwrap()),
             ("update", |kv, pm| {
-                kv.set(pm, b"victim", b"new-value").unwrap()
+                set(kv, pm, b"victim", b"new-value").unwrap()
             }),
             ("delete", |kv, pm| {
-                assert!(kv.delete(pm, b"victim"));
+                assert!(delete(kv, pm, b"victim"));
             }),
         ];
         for (name, op) in ops {
@@ -1222,21 +842,21 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{name} crash at +{at}: {e}"));
                 // Stable entry always intact.
                 assert_eq!(
-                    kv.get(&pm, b"stable").as_deref(),
+                    get(&kv, &pm, b"stable").as_deref(),
                     Some(&b"rock"[..]),
                     "{name} at +{at}"
                 );
                 // The targeted key is in a sane pre- or post-state.
                 match name {
                     "set-new" => {
-                        let got = kv.get(&pm, b"fresh");
+                        let got = get(&kv, &pm, b"fresh");
                         assert!(
                             got.is_none() || got.as_deref() == Some(b"new"),
                             "{name} at +{at}: {got:?}"
                         );
                     }
                     "update" => {
-                        let got = kv.get(&pm, b"victim");
+                        let got = get(&kv, &pm, b"victim");
                         assert!(
                             got.as_deref() == Some(b"old-value")
                                 || got.as_deref() == Some(b"new-value"),
@@ -1244,7 +864,7 @@ mod tests {
                         );
                     }
                     "delete" => {
-                        let got = kv.get(&pm, b"victim");
+                        let got = get(&kv, &pm, b"victim");
                         assert!(
                             got.is_none() || got.as_deref() == Some(b"old-value"),
                             "{name} at +{at}: {got:?}"
@@ -1268,9 +888,9 @@ mod tests {
     fn crash_anywhere_during_set_batch_recovers_leaks() {
         use nvm_pmem::{run_with_crash, CrashPlan};
         let (mut pm0, mut kv0, region, _cfg) = setup(128);
-        kv0.set(&mut pm0, b"stable", b"rock").unwrap();
-        kv0.set(&mut pm0, b"upd-a", b"old-a").unwrap();
-        kv0.set(&mut pm0, b"upd-b", b"old-b").unwrap();
+        set(&mut kv0, &mut pm0, b"stable", b"rock").unwrap();
+        set(&mut kv0, &mut pm0, b"upd-a", b"old-a").unwrap();
+        set(&mut kv0, &mut pm0, b"upd-b", b"old-b").unwrap();
         drop(kv0);
 
         // Fresh inserts, two updates, and an in-batch duplicate: every
@@ -1304,14 +924,14 @@ mod tests {
             kv.check_consistency(&pm)
                 .unwrap_or_else(|e| panic!("crash at +{at}: {e}"));
             assert_eq!(
-                kv.get(&pm, b"stable").as_deref(),
+                get(&kv, &pm, b"stable").as_deref(),
                 Some(&b"rock"[..]),
                 "at +{at}"
             );
             // Every batch key is in a sane pre- or post-state; torn
             // values never surface.
             for (i, (k, _)) in fresh.iter().enumerate() {
-                let got = kv.get(&pm, k);
+                let got = get(&kv, &pm, k);
                 assert!(
                     got.is_none() || got.as_deref() == Some(&[0x40 + i as u8; 24][..]),
                     "bf-{i} at +{at}: {got:?}"
@@ -1321,7 +941,7 @@ mod tests {
                 (&b"upd-a"[..], &b"old-a"[..], &b"new-a"[..]),
                 (&b"upd-b"[..], &b"old-b"[..], &b"new-b"[..]),
             ] {
-                let got = kv.get(&pm, k);
+                let got = get(&kv, &pm, k);
                 assert!(
                     got.as_deref() == Some(old) || got.as_deref() == Some(new),
                     "update at +{at}: {got:?}"
@@ -1329,7 +949,7 @@ mod tests {
             }
             // In-batch last-write-wins resolves in DRAM before the index
             // commit, so the first duplicate's value is never visible.
-            let got = kv.get(&pm, b"dupk");
+            let got = get(&kv, &pm, b"dupk");
             assert!(
                 got.is_none() || got.as_deref() == Some(b"second"),
                 "dupk at +{at}: {got:?}"
@@ -1347,10 +967,10 @@ mod tests {
             // Re-running the batch converges on the post state.
             kv.set_batch(&mut pm, &items).unwrap();
             for (i, (k, _)) in fresh.iter().enumerate() {
-                assert_eq!(kv.get(&pm, k), Some(vec![0x40 + i as u8; 24]), "at +{at}");
+                assert_eq!(get(&kv, &pm, k), Some(vec![0x40 + i as u8; 24]), "at +{at}");
             }
-            assert_eq!(kv.get(&pm, b"upd-a").as_deref(), Some(&b"new-a"[..]));
-            assert_eq!(kv.get(&pm, b"dupk").as_deref(), Some(&b"second"[..]));
+            assert_eq!(get(&kv, &pm, b"upd-a").as_deref(), Some(&b"new-a"[..]));
+            assert_eq!(get(&kv, &pm, b"dupk").as_deref(), Some(&b"second"[..]));
             kv.check_consistency(&pm).unwrap();
             let (entries, slots) = kv.usage(&pm);
             assert_eq!(entries, slots, "at +{at}: leak after replay");
@@ -1371,13 +991,13 @@ mod tests {
         // sparse and the drainer's compactor has real work to do.
         let n = 24u32;
         for i in 0..n {
-            kv0.set(&mut pm0, format!("gk-{i}").as_bytes(), &[i as u8; 20])
+            set(&mut kv0, &mut pm0, format!("gk-{i}").as_bytes(), &[i as u8; 20])
                 .unwrap();
         }
         let survivors: Vec<u32> = (0..n).filter(|i| i % 6 == 0).collect();
         for i in 0..n {
             if !survivors.contains(&i) {
-                assert!(kv0.delete(&mut pm0, format!("gk-{i}").as_bytes()));
+                assert!(delete(&mut kv0, &mut pm0, format!("gk-{i}").as_bytes()));
             }
         }
         // Fabricate leaked blobs — both well-formed KV records whose keys
@@ -1413,12 +1033,12 @@ mod tests {
             // cursor, finishes the pass, and sweeps again.
             let mut kv = PmemKv::open(&mut pm, region).unwrap();
             kv.recover(&mut pm);
-            assert!(!kv.gc_pending(&pm), "pass still pending at +{at}");
+            assert!(!kv.heap.gc_pending(&pm), "pass still pending at +{at}");
             kv.check_consistency(&pm)
                 .unwrap_or_else(|e| panic!("crash at +{at}: {e}"));
             for &i in &survivors {
                 assert_eq!(
-                    kv.get(&pm, format!("gk-{i}").as_bytes()),
+                    get(&kv, &pm, format!("gk-{i}").as_bytes()),
                     Some(vec![i as u8; 20]),
                     "gk-{i} lost at +{at}"
                 );
@@ -1436,26 +1056,21 @@ mod tests {
     }
 
     #[test]
-    fn read_view_matches_engine_reads() {
+    fn read_view_reads_through_a_bare_handle() {
         let (mut pm, mut kv, _, _) = setup(200);
         for i in 0..100u32 {
-            kv.set(&mut pm, format!("rv-{i}").as_bytes(), &[i as u8; 12])
-                .unwrap();
+            set(&mut kv, &mut pm, format!("rv-{i}").as_bytes(), &[i as u8; 12]).unwrap();
         }
         let view = kv.read_view();
         let reader = pm.read_handle();
         for i in 0..100u32 {
             let key = format!("rv-{i}");
-            assert_eq!(
-                view.get(&reader, key.as_bytes()),
-                kv.get(&pm, key.as_bytes()),
-                "{key}"
-            );
+            assert_eq!(view.get(&reader, key.as_bytes()), Some(vec![i as u8; 12]), "{key}");
             assert!(view.contains(&reader, key.as_bytes()));
         }
         assert_eq!(view.get(&reader, b"absent"), None);
         // The view tracks later mutations (it holds layout, not bytes).
-        assert!(kv.delete(&mut pm, b"rv-0"));
+        assert!(delete(&mut kv, &mut pm, b"rv-0"));
         assert_eq!(view.get(&reader, b"rv-0"), None);
     }
 
@@ -1463,27 +1078,27 @@ mod tests {
     fn get_batch_matches_sequential_gets() {
         let (mut pm, mut kv, _, _) = setup_avg(300, 64);
         for i in 0..200u32 {
-            kv.set(&mut pm, format!("mb-{i}").as_bytes(), &vec![i as u8; (i % 90) as usize])
-                .unwrap();
+            let value = vec![i as u8; (i % 90) as usize];
+            set(&mut kv, &mut pm, format!("mb-{i}").as_bytes(), &value).unwrap();
         }
         let owned: Vec<Vec<u8>> = (0..260u32) // 200.. miss
             .map(|i| format!("mb-{i}").into_bytes())
             .chain([b"mb-7".to_vec()]) // duplicate
             .collect();
         let keys: Vec<&[u8]> = owned.iter().map(|k| k.as_slice()).collect();
-        let batch = kv.get_batch(&pm, &keys);
-        assert_eq!(batch.len(), keys.len());
-        for (key, got) in keys.iter().zip(&batch) {
-            assert_eq!(*got, kv.get(&pm, key));
-        }
-        // The read view agrees, through a bare read handle.
         let view = kv.read_view();
         let reader = pm.read_handle();
-        assert_eq!(view.get_batch(&reader, &keys), batch);
-        assert!(kv.get_batch(&pm, &[]).is_empty());
+        let batch = view.get_batch(&reader, &keys);
+        assert_eq!(batch.len(), keys.len());
+        for (key, got) in keys.iter().zip(&batch) {
+            assert_eq!(*got, view.get(&reader, key));
+        }
+        assert_eq!(batch[7].as_deref(), Some(&[7u8; 7][..]));
+        assert_eq!(batch[230], None);
+        assert!(view.get_batch(&reader, &[]).is_empty());
         // A pure read: the batch added no persistence events.
         pm.reset_stats();
-        let _ = kv.get_batch(&pm, &keys);
+        let _ = view.get_batch(&pm, &keys);
         let s = pm.stats();
         assert_eq!(
             (s.flushes, s.fences, s.atomic_writes, s.writes),
@@ -1494,10 +1109,10 @@ mod tests {
     #[test]
     fn empty_keys_and_values() {
         let (mut pm, mut kv, _, _) = setup(32);
-        kv.set(&mut pm, b"", b"empty-key").unwrap();
-        kv.set(&mut pm, b"empty-value", b"").unwrap();
-        assert_eq!(kv.get(&pm, b"").as_deref(), Some(&b"empty-key"[..]));
-        assert_eq!(kv.get(&pm, b"empty-value").as_deref(), Some(&b""[..]));
+        set(&mut kv, &mut pm, b"", b"empty-key").unwrap();
+        set(&mut kv, &mut pm, b"empty-value", b"").unwrap();
+        assert_eq!(get(&kv, &pm, b"").as_deref(), Some(&b"empty-key"[..]));
+        assert_eq!(get(&kv, &pm, b"empty-value").as_deref(), Some(&b""[..]));
         kv.check_consistency(&pm).unwrap();
     }
 
@@ -1517,7 +1132,7 @@ mod tests {
         let mut stored = 0;
         let mut full = false;
         for i in 0..200u32 {
-            match kv.set(&mut pm, format!("k{i}").as_bytes(), b"v") {
+            match set(&mut kv, &mut pm, format!("k{i}").as_bytes(), b"v") {
                 Ok(()) => stored += 1,
                 Err(KvError::IndexFull) => {
                     full = true;

@@ -1,16 +1,15 @@
-//! The unified `Store` facade: one front door over the KV engine.
+//! The unified `Store` facade: the one public front door over the KV
+//! engine.
 //!
-//! [`PmemKv`] is an engine: callers thread a `&mut P` pool through every
-//! call, pick regions, and sequence recovery themselves. Network servers
-//! and most applications want a *store*: a cloneable, thread-safe handle
+//! The crate-private engine threads a `&mut P` pool through every call,
+//! and leaves regions and recovery to its caller. Network servers and
+//! applications get a *store* instead: a cloneable, thread-safe handle
 //! with `set`/`get`/`delete` (+ `*_batch`), built by a [`StoreBuilder`],
-//! failing with one typed [`StoreError`]. This module is that facade —
-//! and the only public construction path going forward (the engine's
-//! `create`/`open` constructors are deprecated in its favor).
+//! failing with one typed [`StoreError`].
 //!
 //! # Sharding and concurrency
 //!
-//! A store is `1..n` independent [`PmemKv`] pools ("shards"); keys route
+//! A store is `1..n` independent engine pools ("shards"); keys route
 //! by hash. Each shard pairs a writer lock with a seqlock-validated
 //! lock-free read path (the [`ShardedGroupHash`] protocol, lifted to
 //! whole-store reads): readers probe a [`KvReadView`] through a shared
@@ -23,7 +22,7 @@
 //! enqueue the op and return a [`WriteTicket`] immediately; any caller
 //! (typically a server worker between socket sweeps) then drives
 //! [`Store::pump`], which elects one leader per shard to drain the whole
-//! staged queue as a single [`PmemKv::set_batch`]-style group commit.
+//! staged queue as a single group commit.
 //! K concurrent writers' sets thus share one fence-coalesced heap commit
 //! (2 fences) plus one index batch (~K+2 fences) — the paper's batching
 //! win amortized *across callers*, not just within one caller's batch.
@@ -470,7 +469,7 @@ impl<P: Pmem> Store<P> {
                 batch: &batch,
                 armed: true,
             };
-            let results = shard.with_write(|inner| apply_batch(inner, &batch));
+            let results = shard.with_write(|inner| apply_batch(inner, &shard.view, &batch));
             guard.armed = false;
             drop(guard);
             // Commit boundary: the batch is durable; publish counters
@@ -738,9 +737,11 @@ impl<P: Pmem> Store<P> {
 
 /// Applies one drained batch inside the shard's write section. Ops run
 /// in staged order, with consecutive same-kind runs fused into the
-/// engine's fence-coalesced batch calls.
+/// engine's fence-coalesced batch calls. `view` is the shard's read
+/// view; under the write lock it sees every committed op.
 fn apply_batch<P: Pmem>(
     inner: &mut ShardInner<P>,
+    view: &KvReadView,
     batch: &[StagedOp],
 ) -> Vec<Result<bool, StoreError>> {
     let ShardInner { pm, kv } = inner;
@@ -773,10 +774,11 @@ fn apply_batch<P: Pmem>(
                 }
                 Err(_) => {
                     // The coalesced commit refused (index/heap full);
-                    // retry per-op so each ticket gets its own verdict.
-                    for (r, (k, v)) in results[i..j].iter_mut().zip(&pairs) {
+                    // retry as batches of one so each ticket gets its
+                    // own verdict.
+                    for (r, pair) in results[i..j].iter_mut().zip(&pairs) {
                         *r = kv
-                            .set(pm, k, v)
+                            .set_batch(pm, std::slice::from_ref(pair))
                             .map(|()| true)
                             .map_err(StoreError::from);
                     }
@@ -790,7 +792,7 @@ fn apply_batch<P: Pmem>(
             let mut doomed: Vec<&[u8]> = Vec::new();
             for (r, s) in results[i..j].iter_mut().zip(&batch[i..j]) {
                 let Op::Delete(k) = &s.op else { unreachable!() };
-                let present = !gone.contains(k.as_slice()) && kv.get(pm, k).is_some();
+                let present = !gone.contains(k.as_slice()) && view.contains(pm, k);
                 if present {
                     gone.insert(k.as_slice());
                     doomed.push(k.as_slice());
@@ -950,7 +952,7 @@ impl StoreBuilder {
                 )));
             }
             let region = Region::new(0, size);
-            let kv = PmemKv::create_impl(&mut pm, region, &cfg)?;
+            let kv = PmemKv::create(&mut pm, region, &cfg)?;
             shards.push((pm, kv));
         }
         Ok(Store::from_shards(shards))
@@ -971,7 +973,7 @@ impl StoreBuilder {
         let mut shards = Vec::with_capacity(pools.len());
         for mut pm in pools {
             let region = Region::new(0, pm.len());
-            let kv = PmemKv::open_impl(&mut pm, region)?;
+            let kv = PmemKv::open(&mut pm, region)?;
             shards.push((pm, kv));
         }
         Ok(Store::from_shards(shards))
@@ -1264,6 +1266,22 @@ mod tests {
         for i in 0..60u32 {
             let k = format!("p{i}");
             assert_eq!(store.get(k.as_bytes()).as_deref(), Some(k.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn metrics_snapshot_has_pmem_counters() {
+        let store = fresh(100);
+        store.set(b"k", b"v").unwrap();
+        let json = store.metrics().to_string_pretty();
+        assert!(json.contains("\"pmem\""), "{json}");
+        assert!(json.contains("\"flushes\""), "{json}");
+        assert!(json.contains("\"heap\""), "{json}");
+        // With `instrument` (directly or via feature unification) the
+        // index section carries the probe histogram.
+        if cfg!(feature = "instrument") {
+            assert!(json.contains("\"index\""), "{json}");
+            assert!(json.contains("\"probe\""), "{json}");
         }
     }
 

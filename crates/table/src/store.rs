@@ -21,7 +21,7 @@
 //! [`crate::probe`]; scheme policy (which cell to try next) one layer above
 //! that.
 
-use crate::{CellArray, CellClaims, ConsistencyMode, Journal, MetaWords, PmemBitmap};
+use crate::{CellArray, CellClaims, ConsistencyMode, Journal, PmemBitmap};
 use nvm_hashfn::Pod;
 use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region};
 use std::collections::HashSet;
@@ -217,66 +217,6 @@ impl<K: Pod, V: Pod> CellStore<K, V> {
         TryRetract::Done { cas_failures }
     }
 
-    /// [`CellStore::publish`] plus the co-located volatile tag update:
-    /// the pmem choreography is *identical* (2 flushes / 2 fences / 1
-    /// atomic — the bitmap flip stays the only commit point), and the
-    /// DRAM tag lane is spliced after the bit is durable, mirroring the
-    /// ordering `try_publish`'s `after_commit` hook gives concurrent
-    /// writers.
-    pub fn publish_tagged<P: Pmem>(
-        &self,
-        pm: &mut P,
-        meta: &MetaWords,
-        idx: u64,
-        tag: u8,
-        key: &K,
-        value: &V,
-    ) {
-        self.publish(pm, idx, key, value);
-        meta.set(idx, tag);
-    }
-
-    /// [`CellStore::retract`] plus the tag-lane clear, after the
-    /// bit-clear commits (a reader that still sees the stale tag merely
-    /// pays a verification probe against a now-free cell).
-    pub fn retract_tagged<P: Pmem>(&self, pm: &mut P, meta: &MetaWords, idx: u64) {
-        self.retract(pm, idx);
-        meta.clear(idx);
-    }
-
-    /// [`CellStore::try_publish`] with the tag splice as the
-    /// `after_commit` hook: the claim held across the splice stops
-    /// another writer from reusing the cell and racing its tag against
-    /// ours. Same budget as the untagged CAS path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_publish_tagged<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        meta: &MetaWords,
-        idx: u64,
-        tag: u8,
-        key: &K,
-        value: &V,
-    ) -> TryPublish {
-        self.try_publish(w, claims, idx, key, value, || meta.set(idx, tag))
-    }
-
-    /// [`CellStore::try_retract`] with the tag-lane clear under the claim.
-    pub fn try_retract_tagged<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        meta: &MetaWords,
-        idx: u64,
-        expected_key: &K,
-    ) -> TryRetract
-    where
-        K: PartialEq,
-    {
-        self.try_retract(w, claims, idx, expected_key, || meta.clear(idx))
-    }
-
     /// Records the pre-images a [`CellStore::publish`] of `idx` will
     /// overwrite — cell span, bitmap word, then the count word if the
     /// scheme persists one — into an open journal transaction, and seals
@@ -409,10 +349,6 @@ pub struct BatchSession<K: Pod, V: Pod> {
     claimed: HashSet<(usize, u64)>,
     /// Cells claimed by staged retracts (same keying).
     retracted: HashSet<(usize, u64)>,
-    /// Deferred volatile tag-lane updates (`Some(tag)` = set, `None` =
-    /// clear), applied by [`BatchSession::commit_tagged`] once the
-    /// corresponding bit flips are durable.
-    meta_ops: Vec<(u64, Option<u8>)>,
 }
 
 impl<K: Pod, V: Pod> Default for BatchSession<K, V> {
@@ -428,7 +364,6 @@ impl<K: Pod, V: Pod> BatchSession<K, V> {
             ops: Vec::new(),
             claimed: HashSet::new(),
             retracted: HashSet::new(),
-            meta_ops: Vec::new(),
         }
     }
 
@@ -500,57 +435,6 @@ impl<K: Pod, V: Pod> BatchSession<K, V> {
         journal.record(pm, store.cells.cell_off(idx), store.cells.entry_len());
         self.retracted.insert(Self::cell_key(&store, idx));
         self.ops.push((store, BatchOpKind::Retract, idx));
-    }
-
-    /// [`BatchSession::stage_publish`] plus a deferred tag-lane splice:
-    /// the pmem staging is identical; the volatile tag is recorded here
-    /// and applied by [`BatchSession::commit_tagged`] after the op's bit
-    /// flip is durable, so readers never see a tag for an uncommitted
-    /// cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn stage_publish_tagged<P: Pmem>(
-        &mut self,
-        pm: &mut P,
-        journal: &mut Journal,
-        store: CellStore<K, V>,
-        idx: u64,
-        tag: u8,
-        key: &K,
-        value: &V,
-    ) {
-        self.stage_publish(pm, journal, store, idx, key, value);
-        self.meta_ops.push((idx, Some(tag)));
-    }
-
-    /// [`BatchSession::stage_retract`] plus the deferred tag-lane clear.
-    pub fn stage_retract_tagged<P: Pmem>(
-        &mut self,
-        pm: &mut P,
-        journal: &mut Journal,
-        store: CellStore<K, V>,
-        idx: u64,
-    ) {
-        self.stage_retract(pm, journal, store, idx);
-        self.meta_ops.push((idx, None));
-    }
-
-    /// [`BatchSession::commit`] followed by the deferred tag splices —
-    /// DRAM-only, so the batch's pinned fence/flush/atomic arithmetic is
-    /// untouched.
-    pub fn commit_tagged<P: Pmem>(
-        &mut self,
-        pm: &mut P,
-        journal: &mut Journal,
-        count: Option<(usize, u64)>,
-        meta: &MetaWords,
-    ) {
-        self.commit(pm, journal, count);
-        for (idx, op) in self.meta_ops.drain(..) {
-            match op {
-                Some(tag) => meta.set(idx, tag),
-                None => meta.clear(idx),
-            }
-        }
     }
 
     /// Commits every staged op in staging order, then the optional count
@@ -882,70 +766,6 @@ mod tests {
             assert_eq!(s.read_key(&pm, i), i);
             assert_eq!(s.read_value(&pm, i), i * 2);
         }
-    }
-
-    /// The tagged wrappers must cost exactly what the untagged paths
-    /// cost: tag lanes are DRAM, the bitmap flip stays the only commit
-    /// point.
-    #[test]
-    fn tagged_paths_match_untagged_budgets() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let meta = MetaWords::new(64);
-        pm.reset_stats();
-        s.publish_tagged(&mut pm, &meta, 3, 0xA7, &1, &2);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert_eq!(meta.tag(3), 0xA7);
-        assert!(s.is_occupied(&pm, 3));
-
-        pm.reset_stats();
-        s.retract_tagged(&mut pm, &meta, 3);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert_eq!(meta.tag(3), 0);
-        assert!(!s.is_occupied(&pm, 3));
-
-        let claims = CellClaims::new(64);
-        let w = pm.write_handle();
-        pm.reset_stats();
-        let r = s.try_publish_tagged(&w, &claims, &meta, 5, 0x33, &9, &10);
-        assert_eq!(r, TryPublish::Done { cas_failures: 0 });
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert_eq!(meta.tag(5), 0x33);
-
-        pm.reset_stats();
-        let r = s.try_retract_tagged(&w, &claims, &meta, 5, &9);
-        assert_eq!(r, TryRetract::Done { cas_failures: 0 });
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert_eq!(meta.tag(5), 0);
-    }
-
-    /// A tagged batch of one matches the single-op 3/3/2 budget, and the
-    /// tag lanes land only at commit.
-    #[test]
-    fn tagged_batch_of_one_matches_single_op_budget() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let meta = MetaWords::new(64);
-        let mut j = Journal::open(ConsistencyMode::None, Region::new(1 << 15, 1024));
-        let count_off = 1 << 14;
-        pm.reset_stats();
-        let mut sess = BatchSession::new();
-        sess.stage_publish_tagged(&mut pm, &mut j, s, 3, 0x61, &1, &2);
-        assert_eq!(meta.tag(3), 0, "tag deferred until commit");
-        sess.commit_tagged(&mut pm, &mut j, Some((count_off, 1)), &meta);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (3, 3, 2));
-        assert_eq!(meta.tag(3), 0x61);
-
-        pm.reset_stats();
-        sess.stage_retract_tagged(&mut pm, &mut j, s, 3);
-        sess.commit_tagged(&mut pm, &mut j, Some((count_off, 0)), &meta);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (3, 3, 2));
-        assert_eq!(meta.tag(3), 0);
-        assert!(!s.is_occupied(&pm, 3));
     }
 
     /// A logged batch chunk is all-or-nothing: crash before the journal
