@@ -194,6 +194,12 @@ echo "==> nvmbench builds (separate package outside the workspace)"
 # break it.
 cargo build --release --offline --manifest-path nvmbench/Cargo.toml
 
+echo "==> nvmbench tests (unit tests + end-to-end smoke run with its reply oracle)"
+# The smoke run serves every workload over loopback and checks each
+# returned value's id, version and checksum, so a record-format change
+# that corrupts values fails here.
+cargo test --release --offline --manifest-path nvmbench/Cargo.toml
+
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run --workspace
 

@@ -15,8 +15,10 @@
 
 use crate::AllocError;
 
-/// Per-slot length-prefix bytes (`[len u64-LE | blob]`).
-pub const LEN_PREFIX: usize = 8;
+/// Per-slot length-prefix bytes (`[len u32-LE | blob]`). Four bytes
+/// cover any blob a class can hold (slots are far below 4 GiB) and keep
+/// a KV record of a 16 B key and a 104 B value inside the 128 B class.
+pub const LEN_PREFIX: usize = 4;
 
 /// Maximum size classes a heap may declare.
 pub const MAX_CLASSES: usize = 32;
@@ -30,8 +32,8 @@ pub const DEFAULT_BASE: u64 = 80;
 /// Memcached's growth factor, as an integer ratio (1.25 = 5/4).
 pub const DEFAULT_GROWTH: (u64, u64) = (5, 4);
 
-/// One size class: a fixed slot width in bytes, including the 8-byte
-/// length prefix. Always a multiple of 8.
+/// One size class: a fixed slot width in bytes, including the
+/// [`LEN_PREFIX`]-byte length prefix. Always a multiple of 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeClass {
     /// Slot width in bytes, including the length prefix. Must be a
@@ -341,10 +343,12 @@ mod tests {
             ClassTable::geometric(80, (3, 0), 1024),
             Err(AllocError::BadGrowth { .. })
         ));
+        // A base slot no wider than the length prefix holds no blob.
         assert!(matches!(
-            ClassTable::geometric(8, (5, 4), 1024),
+            ClassTable::geometric(LEN_PREFIX as u64, (5, 4), 1024),
             Err(AllocError::BadSlotSize { .. })
         ));
+        assert!(ClassTable::geometric(LEN_PREFIX as u64 + 1, (5, 4), 1024).is_ok());
     }
 
     #[test]

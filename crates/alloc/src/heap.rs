@@ -29,12 +29,13 @@
 //! paper's consistency discipline.
 
 use crate::classes::{ClassSpec, ClassTable, HeapConfig, MAX_CLASSES, MAX_SLABS_PER_CLASS};
-use crate::slab::SlabStore;
+use crate::slab::{read_len, SlabStore};
 use crate::{AllocError, PmemPtr};
 use nvm_pmem::{align_up, Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
 
-/// Magic word identifying a heap header ("NVHEAP01").
-const MAGIC: u64 = 0x4E56_4845_4150_3031;
+/// Magic word identifying a heap header ("NVHEAP02": slots carry a
+/// 4-byte length prefix; "NVHEAP01" pools used 8 bytes and are refused).
+const MAGIC: u64 = 0x4E56_4845_4150_3032;
 
 /// Header offsets relative to the header region: magic, class count,
 /// slabs per class, GC cursor, GC active flag, then per-class
@@ -381,7 +382,7 @@ impl PmemHeap {
             f.allocated_slot_bytes += live * slab.geom.slot_size;
         }
         self.store.for_each_allocated(pm, |p| {
-            f.live_blob_bytes += pm.read_u64(p.0 as usize);
+            f.live_blob_bytes += read_len(pm, p.0 as usize) as u64;
         });
         f
     }

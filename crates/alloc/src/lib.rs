@@ -456,6 +456,23 @@ mod tests {
     }
 
     #[test]
+    fn heaps_stamped_with_the_old_prefix_width_are_refused() {
+        // "NVHEAP01" heaps stored 8-byte slot length prefixes; opening
+        // one with 4-byte prefixes would misread every blob length.
+        const OLD_MAGIC: u64 = 0x4E56_4845_4150_3031;
+        let (mut pm, mut h, region) = setup(16 * 1024);
+        h.alloc(&mut pm, b"old format").unwrap();
+        pm.atomic_write_u64(
+            nvm_pmem::align_up(region.off, nvm_pmem::CACHELINE),
+            OLD_MAGIC,
+        );
+        assert!(matches!(
+            PmemHeap::open(&pm, region),
+            Err(AllocError::BadHeader(_))
+        ));
+    }
+
+    #[test]
     fn read_view_reads_concurrently() {
         let (mut pm, mut h, _) = setup(32 * 1024);
         let p = h.alloc(&mut pm, b"shared read").unwrap();

@@ -26,8 +26,21 @@
 
 use crate::classes::{HeapConfig, SlabGeometry, LEN_PREFIX};
 use crate::{AllocError, PmemPtr};
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, RegionAllocator};
+use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, RegionAllocator, CACHELINE};
 use nvm_table::{CellClaims, PmemBitmap};
+
+/// The `[len u32-LE]` prefix stored ahead of a `len`-byte blob. Callers
+/// bound `len` by a slot's capacity, far below `u32::MAX`.
+fn len_prefix(len: usize) -> [u8; LEN_PREFIX] {
+    (len as u32).to_le_bytes()
+}
+
+/// Reads the blob length prefix of the slot at pool offset `off`.
+pub(crate) fn read_len<R: PmemRead>(pm: &R, off: usize) -> usize {
+    let mut b = [0u8; LEN_PREFIX];
+    pm.read(off, &mut b);
+    u32::from_le_bytes(b) as usize
+}
 
 /// One slab: a bitmap plus a slot array, anchored in the pool.
 #[derive(Debug, Clone, Copy)]
@@ -202,7 +215,7 @@ impl SlabStore {
             .ok_or(AllocError::OutOfMemory)?;
         let off = slab.slot_off(slot) as usize;
         // Data first...
-        pm.write_u64(off, blob.len() as u64);
+        pm.write(off, &len_prefix(blob.len()));
         if !blob.is_empty() {
             pm.write(off + LEN_PREFIX, blob);
         }
@@ -255,7 +268,7 @@ impl SlabStore {
         debug_assert!(blob.len() <= slab.geom.slot_size as usize - LEN_PREFIX);
         debug_assert!(!slab.bitmap.get(pm, slot), "staging into an allocated slot");
         let off = slab.slot_off(slot) as usize;
-        pm.write_u64(off, blob.len() as u64);
+        pm.write(off, &len_prefix(blob.len()));
         if !blob.is_empty() {
             pm.write(off + LEN_PREFIX, blob);
         }
@@ -265,9 +278,10 @@ impl SlabStore {
 
     /// Commit half of a fence-coalesced batched allocation: one fence
     /// orders every staged blob's flushed data, then each staged slot's
-    /// bit is set atomically and its bitmap word flushed (words deduped),
-    /// then one closing fence commits the batch — K allocations for 2
-    /// fences instead of 2K.
+    /// bit is set atomically, then every dirty bitmap cacheline is
+    /// flushed once (bits sharing a line share its flush), then one
+    /// closing fence commits the batch — K allocations for 2 fences
+    /// instead of 2K.
     ///
     /// Crash ordering matches [`SlabStore::alloc_in`] exactly: data is
     /// durable before any bit commits, and each bit set is an individual
@@ -279,16 +293,16 @@ impl SlabStore {
             return;
         }
         pm.fence();
-        let mut words: Vec<usize> = Vec::with_capacity(staged.len());
+        let mut lines: Vec<usize> = Vec::with_capacity(staged.len());
         for &(s, slot) in staged {
             let slab = &self.slabs[s];
             slab.bitmap.set_volatile(pm, slot, true);
-            words.push(slab.bitmap.word_off_of(slot));
+            lines.push(slab.bitmap.word_off_of(slot) / CACHELINE);
         }
-        words.sort_unstable();
-        words.dedup();
-        for w in words {
-            pm.flush(w, 8);
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            pm.flush(line * CACHELINE, CACHELINE);
         }
         pm.fence();
     }
@@ -333,7 +347,7 @@ impl SlabStore {
                     continue;
                 }
                 let off = slab.slot_off(slot) as usize;
-                w.write_u64(off, blob.len() as u64);
+                w.write(off, &len_prefix(blob.len()));
                 if !blob.is_empty() {
                     w.write(off + LEN_PREFIX, blob);
                 }
@@ -376,7 +390,7 @@ impl SlabStore {
     /// slot's bounds.
     pub fn read<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> Result<Vec<u8>, AllocError> {
         let (s, _) = self.resolve(pm, ptr)?;
-        let len = pm.read_u64(ptr.0 as usize) as usize;
+        let len = read_len(pm, ptr.0 as usize);
         if len > self.slabs[s].geom.slot_size as usize - LEN_PREFIX {
             return Err(AllocError::BadPointer(ptr));
         }
@@ -514,5 +528,43 @@ mod tests {
             store.try_alloc_in(&w, &claims, 0, &[0; 24], 0),
             Err(AllocError::OutOfMemory)
         );
+    }
+
+    #[test]
+    fn publish_flushes_each_dirty_bitmap_line_once() {
+        // 64 staged slots over two 1024-slot slabs touch about 32 bitmap
+        // words but only the 4 lines those words share.
+        let cfg = HeapConfig {
+            classes: vec![crate::ClassSpec {
+                slot_size: 64,
+                slots_per_slab: 1024,
+            }],
+            slabs_per_class: 2,
+        };
+        let size = SlabStore::required_size(&cfg);
+        let mut pm = SimPmem::new(size, SimConfig::fast_test());
+        let mut ra = RegionAllocator::new(0, size);
+        let store = SlabStore::create(&mut pm, &mut ra, &cfg);
+        let staged: Vec<(usize, u64)> = (0..64u64)
+            .map(|i| ((i % 2) as usize, i * 37 % 1024))
+            .collect();
+        for &(s, slot) in &staged {
+            store.stage_write(&mut pm, s, slot, &[slot as u8; 16]);
+        }
+        let word_of = |&(s, slot): &(usize, u64)| store.slab(s).bitmap.word_off_of(slot);
+        let mut words: Vec<usize> = staged.iter().map(word_of).collect();
+        words.sort_unstable();
+        words.dedup();
+        let mut lines: Vec<usize> = words.iter().map(|w| w / CACHELINE).collect();
+        lines.dedup();
+        assert!(lines.len() < words.len(), "the batch must share lines");
+
+        pm.reset_stats();
+        store.publish_staged(&mut pm, &staged);
+        let st = pm.stats();
+        assert_eq!((st.flushes, st.fences), (lines.len() as u64, 2));
+        assert!(staged
+            .iter()
+            .all(|&(s, slot)| store.slot_allocated(&pm, s, slot)));
     }
 }

@@ -6,9 +6,10 @@
 //! map plus crash/reopen survival.
 
 use nvm_alloc::{
-    AllocError, ClassSpec, ClassTable, HeapConfig, PmemHeap, PmemPtr, SlabGeometry, LEN_PREFIX,
+    AllocError, ClassSpec, ClassTable, HeapConfig, PmemHeap, PmemPtr, SlabGeometry, SlabStore,
+    LEN_PREFIX,
 };
-use nvm_pmem::{CrashResolution, Region, SimConfig, SimPmem};
+use nvm_pmem::{CrashResolution, Pmem, Region, RegionAllocator, SimConfig, SimPmem, CACHELINE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -90,6 +91,54 @@ proptest! {
         cfg.validate().unwrap();
         let t = cfg.class_table().unwrap();
         prop_assert!(t.largest_blob() >= 4096 - LEN_PREFIX);
+    }
+}
+
+// ---- slab store ----------------------------------------------------------
+
+/// The default table's first classes, whose slots straddle cachelines
+/// at every offset a 64 B line allows.
+fn slab_store() -> (SimPmem, SlabStore) {
+    let table = ClassTable::geometric(80, (5, 4), 512).unwrap();
+    let cfg = HeapConfig {
+        classes: table
+            .iter()
+            .map(|c| ClassSpec {
+                slot_size: c.slot_size,
+                slots_per_slab: 24,
+            })
+            .collect(),
+        slabs_per_class: 1,
+    };
+    let size = SlabStore::required_size(&cfg);
+    let mut pm = SimPmem::new(size, SimConfig::fast_test());
+    let mut ra = RegionAllocator::new(0, size);
+    let store = SlabStore::create(&mut pm, &mut ra, &cfg);
+    (pm, store)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Staging a blob of any length its class accepts flushes exactly
+    /// the lines its `[len | blob]` record spans — never a line outside
+    /// it — and fences nothing.
+    #[test]
+    fn stage_write_flushes_only_the_record_lines(
+        class in 0usize..64,
+        slot in 0u64..24,
+    ) {
+        let (mut pm, store) = slab_store();
+        let s = class % store.n_slabs();
+        let off = store.slab(s).slot_off(slot) as usize;
+        for len in 0..=store.slab(s).geom.slot_size as usize - LEN_PREFIX {
+            pm.reset_stats();
+            let ptr = store.stage_write(&mut pm, s, slot, &vec![0xA5; len]);
+            prop_assert_eq!(ptr, PmemPtr(off as u64));
+            let st = pm.stats();
+            let lines = (off % CACHELINE + LEN_PREFIX + len).div_ceil(CACHELINE) as u64;
+            prop_assert_eq!((st.flushes, st.fences), (lines, 0), "len {}", len);
+        }
     }
 }
 

@@ -50,8 +50,12 @@ pub use store::{
     Store, StoreBuilder, StoreCounters, StoreError, StoreReadView, WriteTicket,
 };
 
-/// Magic word identifying a KV header ("NVKVSTR1").
-const MAGIC: u64 = 0x4E56_4B56_5354_5231;
+/// Magic word identifying a KV header ("NVKVSTR2": records open with a
+/// u16 key length; "NVKVSTR1" pools used a u32 and are refused).
+const MAGIC: u64 = 0x4E56_4B56_5354_5232;
+
+/// Bytes of the little-endian key-length field that opens every record.
+const KEY_LEN_PREFIX: usize = 2;
 
 /// Errors from the KV engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,18 +181,21 @@ fn fingerprint(key: &[u8]) -> [u8; 16] {
     f
 }
 
-/// `[key_len u32-LE | key | value]`.
-fn encode_blob(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut blob = Vec::with_capacity(4 + key.len() + value.len());
-    blob.extend_from_slice(&(key.len() as u32).to_le_bytes());
+/// `[key_len u16-LE | key | value]`. A key too long for the u16 field
+/// is refused with the same [`AllocError::TooLarge`] an oversize record
+/// gets — no heap class holds a record that large anyway.
+fn encode_blob(key: &[u8], value: &[u8]) -> Result<Vec<u8>, KvError> {
+    let len = KEY_LEN_PREFIX + key.len() + value.len();
+    let klen = u16::try_from(key.len()).map_err(|_| AllocError::TooLarge(len))?;
+    let mut blob = Vec::with_capacity(len);
+    blob.extend_from_slice(&klen.to_le_bytes());
     blob.extend_from_slice(key);
     blob.extend_from_slice(value);
-    blob
+    Ok(blob)
 }
 
 fn decode_blob(blob: &[u8]) -> (&[u8], &[u8]) {
-    let klen = u32::from_le_bytes(blob[..4].try_into().unwrap()) as usize;
-    (&blob[4..4 + klen], &blob[4 + klen..])
+    try_decode_blob(blob).expect("malformed KV record")
 }
 
 /// [`decode_blob`] for blobs that may not be well-formed KV records:
@@ -197,9 +204,9 @@ fn decode_blob(blob: &[u8]) -> (&[u8], &[u8]) {
 /// length prefix, stale bytes) before seqlock validation discards the
 /// result — neither may panic.
 fn try_decode_blob(blob: &[u8]) -> Option<(&[u8], &[u8])> {
-    let klen = u32::from_le_bytes(blob.get(..4)?.try_into().ok()?) as usize;
-    let key = blob.get(4..4 + klen)?;
-    Some((key, &blob[4 + klen..]))
+    let (klen, rest) = blob.split_first_chunk::<KEY_LEN_PREFIX>()?;
+    let klen = u16::from_le_bytes(*klen) as usize;
+    rest.get(..klen).map(|key| (key, &rest[klen..]))
 }
 
 /// One shard's engine behind [`Store`]. All persistent state lives in
@@ -377,7 +384,10 @@ impl<P: Pmem> PmemKv<P> {
         // Pass two: commit every blob with one fence-coalesced heap
         // batch. On failure the heap committed nothing, so neither did
         // the store.
-        let blobs: Vec<Vec<u8>> = ops.iter().map(|(_, k, v)| encode_blob(k, v)).collect();
+        let blobs = ops
+            .iter()
+            .map(|(_, k, v)| encode_blob(k, v))
+            .collect::<Result<Vec<_>, _>>()?;
         let blob_refs: Vec<&[u8]> = blobs.iter().map(|b| b.as_slice()).collect();
         let ptrs = self.heap.alloc_batch(pm, &blob_refs)?;
         // Pass three: updates apply immediately (the pointer swap is
@@ -609,6 +619,7 @@ mod tests {
     // facade: writes through one-item batches, reads through the view.
 
     use super::*;
+    use nvm_alloc::LEN_PREFIX;
     use nvm_pmem::{CrashResolution, SimConfig, SimPmem};
 
     fn setup(items: u64) -> (SimPmem, PmemKv<SimPmem>, Region, KvConfig) {
@@ -705,7 +716,7 @@ mod tests {
     #[test]
     fn read_view_treats_torn_blobs_as_misses_without_panicking() {
         // A lock-free reader racing a writer can observe a slot whose
-        // length words are newer than its payload bytes. The view must
+        // length fields are newer than its payload bytes. The view must
         // degrade to a miss (the caller's seqlock retry corrects it),
         // never slice out of bounds or panic.
         let (mut pm, mut kv, _, _) = setup(64);
@@ -715,13 +726,13 @@ mod tests {
         let mut ptr = 0;
         kv.index.for_each_entry(&pm, |_, p| ptr = p);
 
-        // Torn key-length prefix: klen runs past the blob's end.
-        pm.write(ptr as usize + 8, &u32::MAX.to_le_bytes());
+        // Torn key-length field: klen runs past the blob's end.
+        pm.write(ptr as usize + LEN_PREFIX, &[0xFF; KEY_LEN_PREFIX]);
         assert_eq!(view.get(&pm, b"k"), None);
         assert_eq!(view.get_batch(&pm, &[b"k".as_slice()]), vec![None]);
 
-        // Torn slot-length word: blob length exceeds the slot capacity.
-        pm.write_u64(ptr as usize, 1 << 40);
+        // Torn slot-length prefix: blob length exceeds the slot capacity.
+        pm.write(ptr as usize, &[0xFF; LEN_PREFIX]);
         assert_eq!(view.get(&pm, b"k"), None);
         assert_eq!(view.get_batch(&pm, &[b"k".as_slice()]), vec![None]);
     }
@@ -789,6 +800,58 @@ mod tests {
         assert_eq!(get(&kv2, &pm, b"alpha").as_deref(), Some(&b"1"[..]));
         assert_eq!(kv2.len(&pm), 2);
         kv2.check_consistency(&pm).unwrap();
+    }
+
+    #[test]
+    fn pools_stamped_with_the_old_record_format_are_refused() {
+        // Pools whose slots carry 8-byte length prefixes and u32 key
+        // lengths wear the previous magics; reading them with the
+        // current layout would misparse every record.
+        const OLD_KV_MAGIC: u64 = 0x4E56_4B56_5354_5231; // "NVKVSTR1"
+        const OLD_HEAP_MAGIC: u64 = 0x4E56_4845_4150_3031; // "NVHEAP01"
+        let (mut pm, mut kv, region, _) = setup(100);
+        set(&mut kv, &mut pm, b"alpha", b"1").unwrap();
+        let kv_magic = align_up(region.off, CACHELINE);
+        let heap_magic = align_up(kv.heap.region().off, CACHELINE);
+        drop(kv);
+        pm.atomic_write_u64(kv_magic, OLD_KV_MAGIC);
+        pm.atomic_write_u64(heap_magic, OLD_HEAP_MAGIC);
+        assert!(matches!(
+            PmemKv::open(&mut pm, region),
+            Err(KvError::Layout(_))
+        ));
+        // Even behind a current KV header, an old heap is refused.
+        pm.atomic_write_u64(kv_magic, MAGIC);
+        assert!(matches!(
+            PmemKv::open(&mut pm, region),
+            Err(KvError::Heap(AllocError::BadHeader(_)))
+        ));
+    }
+
+    /// A ycsb record — 16 B key, 104 B stored value — is 126 B with its
+    /// 2 B key length and 4 B slot length, so it fits the line-aligned
+    /// 128 B class and persists exactly two heap data lines. The whole
+    /// one-item insert's budget is pinned beside it.
+    #[test]
+    fn ycsb_record_persists_two_heap_data_lines() {
+        let (mut pm, mut kv, _, _) = setup(100);
+        let (key, value) = (b"key:000000000042", [0x5A; 104]);
+        assert_eq!(LEN_PREFIX + KEY_LEN_PREFIX + key.len() + value.len(), 126);
+        pm.reset_stats();
+        pm.reset_wear();
+        set(&mut kv, &mut pm, key, &value).unwrap();
+        let st = pm.stats();
+        let data_lines: u64 = kv
+            .heap
+            .slab_regions()
+            .iter()
+            .map(|r| pm.wear_range_summary(r.off, r.len).0)
+            .sum();
+        assert_eq!(data_lines, 2, "the record must fill exactly two lines");
+        // Heap: 2 data lines + 1 bitmap line under 2 fences; index: the
+        // one-item group commit's 3 flushes under K+2 = 3 fences.
+        assert_eq!((st.flushes, st.fences), (6, 5));
+        assert_eq!(get(&kv, &pm, key).as_deref(), Some(&value[..]));
     }
 
     #[test]
@@ -1005,7 +1068,10 @@ mod tests {
         // exactly what crashed writers leave behind.
         for i in 0..4u32 {
             kv0.heap
-                .alloc(&mut pm0, &encode_blob(format!("ghost-{i}").as_bytes(), &[0xEE; 12]))
+                .alloc(
+                    &mut pm0,
+                    &encode_blob(format!("ghost-{i}").as_bytes(), &[0xEE; 12]).unwrap(),
+                )
                 .unwrap();
         }
         kv0.heap.alloc(&mut pm0, b"not a kv record").unwrap();

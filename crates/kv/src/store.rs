@@ -1308,4 +1308,29 @@ mod tests {
         assert!(hit_full, "tiny store never filled");
         store.check_consistency().unwrap();
     }
+
+    #[test]
+    fn over_long_keys_fail_typed_through_batches_and_staging() {
+        // A key past the record's u16 key length is refused like any
+        // oversize record, per ticket: its batch neighbours still commit.
+        let store = fresh(256);
+        let long = vec![b'k'; u16::MAX as usize + 1];
+        let too_large = |r: Result<(), StoreError>| {
+            matches!(r, Err(StoreError::Alloc(AllocError::TooLarge(_))))
+        };
+        assert!(too_large(store.set_batch(&[
+            (b"before".as_slice(), b"1".as_slice()),
+            (long.as_slice(), b"v".as_slice()),
+        ])));
+        assert_eq!(store.get(b"before").as_deref(), Some(&b"1"[..]));
+
+        let bad = store.stage_set(&long, b"v");
+        let good = store.stage_set(b"after", b"2");
+        store.pump();
+        assert!(too_large(bad.wait().map(|_| ())));
+        assert_eq!(good.wait(), Ok(true));
+        assert_eq!(store.get(b"after").as_deref(), Some(&b"2"[..]));
+        assert_eq!(store.usage(), (2, 2), "a refused record must not touch the pool");
+        store.check_consistency().unwrap();
+    }
 }
