@@ -112,20 +112,19 @@ cargo test -q --test concurrent_stress
 
 echo "==> concurrency stress tests (release, elevated iterations)"
 # The writer stress tests scale with NVM_STRESS_ITERS; the release run
-# gives the CAS/latch/expansion machinery real iteration counts that
-# would be too slow under the debug profile.
+# gives the shard-latch/seqlock/expansion machinery real iteration counts
+# that would be too slow under the debug profile.
 NVM_STRESS_ITERS=20000 cargo test --release -q --test concurrent_stress -- \
   single_shard_cas_contention_loses_no_writes expansion_mid_stream_keeps_every_write
 
-echo "==> occupancy-commit lint (CAS protocol has one owner)"
-# The lock-free write protocol is only sound if every occupancy-bit
-# mutation in the scheme's hot path goes through the cell store's
-# publish/retract (exclusive) or try_publish/try_retract (CAS) — those
-# are the sole callers of the bitmap mutators. Direct bitmap writes from
-# the core table/concurrent layers would bypass the commit
-# choreography. (crates/core/src/bulk.rs is the documented exception:
-# bulk load commits whole precomputed words while holding the table
-# exclusively.)
+echo "==> occupancy-commit lint (the cell store owns every bit flip)"
+# The commit protocol is only sound if every occupancy-bit mutation in
+# the scheme's hot path goes through the cell store's publish/retract or
+# a BatchSession commit — those are the sole callers of the bitmap
+# mutators. Direct bitmap writes from the core table/concurrent layers
+# would bypass the commit choreography. (crates/core/src/bulk.rs is the
+# documented exception: bulk load commits whole precomputed words while
+# holding the table exclusively.)
 if grep -rnE 'set_and_persist|set_volatile|cas_bit_and_persist|atomic_write[^(]*word_off' \
     crates/core/src/table crates/core/src/concurrent.rs \
     crates/core/src/fpcache.rs \
@@ -172,14 +171,20 @@ for helper in migrate_step expand_step; do
   }
 done
 
-echo "==> one-mechanism lint (no second growth path, commit family or KV API)"
+echo "==> one-mechanism lint (no second growth path, commit family, write path or KV API)"
 # One growth path (expand_step), one commit family (CellStore/
-# BatchSession without tag-carrying twins), one public KV entry point
-# (Store). Volatile tags splice at stage time; they never need their
-# own commit entry points.
+# BatchSession without tag-carrying twins), one write path per shard
+# (the shard latch + seqlock; no lock-free CAS writer family), one public
+# KV entry point (Store). Volatile tags splice at stage time; they never
+# need their own commit entry points.
 if grep -rnE 'fn [a-z_]+_tagged\b|expand_into|ResizingGroupHash|migrate_into|#\[deprecated' \
     crates/ | grep .; then
   echo "mechanism lint: a removed growth path, _tagged commit or deprecated shim came back" >&2
+  exit 1
+fi
+if grep -rnE 'try_publish|try_retract|try_insert_shared|try_remove_shared|CellClaims|TableClaims|try_alloc_in|_count_shared|_entry_shared' \
+    crates/ | grep .; then
+  echo "mechanism lint: the removed CAS shared-writer family came back" >&2
   exit 1
 fi
 

@@ -15,8 +15,7 @@
 //! ├────────────────────────────────────────────────────────────┤
 //! │ slab      SlabStore — pmem-facing slot arrays              │
 //! │           failure-atomic alloc/free publish on a per-slab  │
-//! │           bitmap word; CellStore try_publish idiom for     │
-//! │           shared writers                                   │
+//! │           bitmap word                                      │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ classes   pure geometry — no pmem                          │
 //! │           memcached-style size classes (80 B × 1.25),      │

@@ -14,11 +14,8 @@
 //! * **free** atomically clears the bit; the stale bytes are
 //!   unreachable the instant the 8-byte store lands.
 //!
-//! Shared writers use [`SlabStore::try_alloc_in`], which replays the
-//! `CellStore::try_publish` choreography: claim the slot in DRAM
-//! ([`CellClaims`]), verify its bit is still clear, write and persist the
-//! blob, then commit with a bit-arbitrated CAS
-//! ([`PmemBitmap::try_set_and_persist`]) and release the claim.
+//! Every mutation takes the store by `&mut` pool: callers serialize
+//! writers, exactly as the hash tables' exclusive publish path does.
 //!
 //! Placement *policy* — which slab of a class to allocate from — lives
 //! one layer up in [`crate::heap`]; this layer only answers "allocate in
@@ -26,8 +23,8 @@
 
 use crate::classes::{HeapConfig, SlabGeometry, LEN_PREFIX};
 use crate::{AllocError, PmemPtr};
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, RegionAllocator, CACHELINE};
-use nvm_table::{CellClaims, PmemBitmap};
+use nvm_pmem::{Pmem, PmemRead, Region, RegionAllocator, CACHELINE};
+use nvm_table::PmemBitmap;
 
 /// The `[len u32-LE]` prefix stored ahead of a `len`-byte blob. Callers
 /// bound `len` by a slot's capacity, far below `u32::MAX`.
@@ -52,7 +49,7 @@ pub struct Slab {
     bitmap: PmemBitmap,
     slots_region: Region,
     /// First flat slot index of this slab (slabs number their slots into
-    /// one contiguous space for claims and GC cursors).
+    /// one contiguous space for GC cursors).
     flat_base: u64,
 }
 
@@ -307,61 +304,6 @@ impl SlabStore {
         pm.fence();
     }
 
-    /// Shared-writer allocation in slab `s` — the `CellStore`
-    /// try_publish choreography on slot granularity. `claims` must span
-    /// [`SlabStore::total_slots`] flat slot indices and be shared by all
-    /// writers of this store:
-    ///
-    /// 1. claim the candidate slot in DRAM (losers move on),
-    /// 2. re-check its bit (a racer may have committed before we claimed),
-    /// 3. write and persist the blob — exclusively ours under the claim,
-    /// 4. commit with a bit-arbitrated CAS and release the claim.
-    pub fn try_alloc_in<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        s: usize,
-        blob: &[u8],
-        cursor: u64,
-    ) -> Result<(PmemPtr, u64), AllocError> {
-        let slab = &self.slabs[s];
-        debug_assert!(blob.len() <= slab.geom.slot_size as usize - LEN_PREFIX);
-        let n = slab.geom.slots;
-        let mut probe = cursor % n;
-        for _ in 0..n {
-            if let Some(slot) = slab
-                .bitmap
-                .find_zero_in_range(w, probe, n - probe)
-                .or_else(|| slab.bitmap.find_zero_in_range(w, 0, probe))
-            {
-                let flat = slab.flat_base + slot;
-                if !claims.try_claim(flat) {
-                    // Another writer is mid-publish here; probe past it.
-                    probe = (slot + 1) % n;
-                    continue;
-                }
-                if slab.bitmap.get(w, slot) {
-                    // Committed between our scan and our claim.
-                    claims.release(flat);
-                    probe = (slot + 1) % n;
-                    continue;
-                }
-                let off = slab.slot_off(slot) as usize;
-                w.write(off, &len_prefix(blob.len()));
-                if !blob.is_empty() {
-                    w.write(off + LEN_PREFIX, blob);
-                }
-                w.persist(off, LEN_PREFIX + blob.len());
-                let won = slab.bitmap.try_set_and_persist(w, slot, true).is_ok();
-                claims.release(flat);
-                debug_assert!(won, "claimed slot was stolen");
-                return Ok((PmemPtr(off as u64), slot));
-            }
-            return Err(AllocError::OutOfMemory);
-        }
-        Err(AllocError::OutOfMemory)
-    }
-
     /// Resolves `ptr` to its slab and slot, requiring the slot to be
     /// allocated.
     pub fn resolve<R: PmemRead>(&self, pm: &R, ptr: PmemPtr) -> Result<(usize, u64), AllocError> {
@@ -493,41 +435,6 @@ mod tests {
         );
         // The sibling slab still has room.
         assert!(store.alloc_in(&mut pm, 1, &[7; 40], 0).is_ok());
-    }
-
-    #[test]
-    fn shared_alloc_racers_get_distinct_slots() {
-        let (mut pm, store) = setup();
-        let w = pm.write_handle();
-        let claims = CellClaims::new(store.total_slots());
-        let ptrs: Vec<PmemPtr> = std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let w = w.clone();
-                    let claims = &claims;
-                    let store = &store;
-                    sc.spawn(move || {
-                        (0..4)
-                            .map(|i| {
-                                let blob = [t as u8 * 16 + i as u8; 24];
-                                store.try_alloc_in(&w, claims, 0, &blob, 0).unwrap().0
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        // 16 allocations, 16 distinct slots, slab exactly full.
-        let mut uniq = ptrs.clone();
-        uniq.sort();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 16);
-        assert_eq!(store.live_slots(&pm, 0), 16);
-        assert_eq!(
-            store.try_alloc_in(&w, &claims, 0, &[0; 24], 0),
-            Err(AllocError::OutOfMemory)
-        );
     }
 
     #[test]

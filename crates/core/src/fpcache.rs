@@ -15,18 +15,16 @@
 //! occupancy bits so only plausible cells have their key bytes read from
 //! the pool.
 //!
-//! # Shared-writer maintenance
+//! # Writers and readers
 //!
-//! Tags are packed eight to an [`AtomicU64`] and updated with a single
-//! read-modify-write per byte lane, so the lock-free CAS insert/remove
-//! path (`GroupHash::try_insert_shared` / `try_remove_shared`) can
-//! maintain the cache through `&self` while other writers update
-//! neighbouring lanes of the same word. A tag is written inside the
-//! publishing writer's cell-claim window, so two writers never race on
-//! the *same* lane; the word-level RMW only arbitrates *different* cells
-//! sharing a word. Readers load whole words `Relaxed` — a racing update
-//! can at worst make the filter admit a stale candidate (the key compare
-//! rejects it) for cells the reader was not synchronized with anyway.
+//! Every tag write runs under `&mut GroupHash` — the sharded wrapper and
+//! `Store` both give each table one latched writer — so no two writers
+//! ever race on a lane, and the lock-free readers never consult the
+//! cache ([`GroupReadView`](crate::GroupReadView) carries none). The
+//! tags still sit in [`AtomicU64`] words behind `&self` setters, which
+//! lets the rebuild loop and the stage helpers set a tag while they
+//! borrow the table for its hash streams. Relaxed loads compile to plain
+//! loads; a commit pays one lane read-modify-write on a DRAM word.
 //!
 //! [`HashPair::h3`]: nvm_hashfn::HashPair::h3
 
@@ -89,8 +87,6 @@ impl FpCache {
     }
 
     /// Records `tag` for `(level, idx)` (on insert / bulk load / rebuild).
-    /// `&self`: safe to call from concurrent writers holding the cell's
-    /// claim.
     #[inline]
     pub fn set(&self, level: usize, idx: u64, tag: u8) {
         self.store_lane(level, idx, tag);

@@ -79,7 +79,7 @@ pub use analysis::{GroupFill, TableAnalysis};
 pub use bulk::BulkLoadReport;
 pub use concurrent::ShardedGroupHash;
 pub use config::{ChoiceMode, CommitStrategy, CountMode, FpMode, GroupHashConfig, ProbeLayout};
-pub use table::{GroupHash, GroupReadView, SharedCommit, TableClaims};
+pub use table::{GroupHash, GroupReadView};
 
 // Re-exported so downstream users need only this crate for the common case.
 pub use nvm_table::{

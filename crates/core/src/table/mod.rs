@@ -13,13 +13,11 @@ mod migration;
 mod ops;
 mod probe;
 mod readview;
-mod shared;
 mod store;
 #[cfg(test)]
 mod tests;
 
 pub use readview::GroupReadView;
-pub use shared::{SharedCommit, TableClaims};
 
 use crate::config::{CommitStrategy, CountMode, FpMode, GroupHashConfig};
 use crate::fpcache::FpCache;
@@ -83,9 +81,8 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     /// The one place [`ConsistencyMode`] applies: a no-op under the
     /// paper's atomic-bitmap commit, an undo log under the ablation.
     journal: Journal,
-    /// Cached count for [`CountMode::Volatile`]. Atomic so the shared
-    /// CAS write path can maintain it through `&self`; exclusive paths
-    /// use plain load/store (they own the table).
+    /// Cached count for [`CountMode::Volatile`]. Written only under
+    /// `&mut self` (relaxed load + store, never a read-modify-write).
     volatile_count: AtomicU64,
     /// DRAM-resident fingerprint tags for [`FpMode::On`]; never persisted,
     /// rebuilt from bitmaps + cells on `open`/`recover`.

@@ -16,21 +16,15 @@
 //! Layering: this module may name only the read-side pool surface — the
 //! `ci.sh` lint rejects any use of the write-capable trait here.
 //!
-//! # Racing CAS writers
+//! # Hit revalidation
 //!
-//! Under the sharded table's lock-free insert/remove path, writers
-//! retract cells by clearing the occupancy bit *without* bumping the
-//! shard's seqlock. A reader can therefore match a cell, lose the race
-//! to a remover, and read a value the scrub is already overwriting. The
-//! view defends with **hit revalidation**: after reading a matched
-//! cell's value it re-checks the occupancy bit and the key, and treats
-//! the cell as non-matching if either changed — a linearizable miss (the
-//! remove committed before the read returned). The residual ABA window —
-//! retract + republish of a *different* key into the same cell, with the
-//! value read landing between the two key re-checks — cannot yield a
-//! torn value for ≤8-byte aligned values (single atomic load) and is
-//! closed for larger values by the seqlock the concurrent wrapper layers
-//! on top of structural operations.
+//! After reading a matched cell's value the view re-checks the
+//! occupancy bit and the key, and treats the cell as non-matching if
+//! either changed. Under the sharded wrapper every write runs at odd
+//! sequence, so the seqlock already rejects any read that overlapped a
+//! retract; the recheck is a second, local line of defence that keeps a
+//! view used without a seqlock from returning a value the scrub is
+//! already overwriting.
 
 use super::probe;
 use crate::config::{GroupHashConfig, ProbeLayout};

@@ -10,10 +10,6 @@
 //!   sequence change across its read) and had to re-run its lookup;
 //! * a **lock wait**: a writer found the shard's lock contended and had
 //!   to block instead of acquiring it on the fast path;
-//! * a **CAS failure**: a lock-free publish/retract lost the race on an
-//!   occupancy-bitmap word (or a shared counter word) and retried;
-//! * a **latch wait**: a writer fell back to a group latch after losing
-//!   cell claims repeatedly and had to serialize its placement;
 //! * a **migration step**: one entry moved from the draining table to the
 //!   active table during incremental online expansion.
 //!
@@ -28,8 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ConcurrencyCounters {
     seqlock_retries: AtomicU64,
     lock_waits: AtomicU64,
-    cas_failures: AtomicU64,
-    latch_waits: AtomicU64,
     migration_steps: AtomicU64,
 }
 
@@ -40,11 +34,6 @@ pub struct ConcurrencySnapshot {
     pub seqlock_retries: u64,
     /// Writer lock acquisitions that found the lock already held.
     pub lock_waits: u64,
-    /// Lost compare-and-swap attempts on shared table words (occupancy
-    /// bitmap, persistent count). Zero when only one writer runs.
-    pub cas_failures: u64,
-    /// Writers that escalated from lost cell claims to a group latch.
-    pub latch_waits: u64,
     /// Entries rehashed from the draining to the active table by the
     /// incremental expansion drainer.
     pub migration_steps: u64,
@@ -68,21 +57,6 @@ impl ConcurrencyCounters {
         self.lock_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` lost CAS attempts (a publish loop reports its whole
-    /// retry tally at once).
-    #[inline]
-    pub fn note_cas_failures(&self, n: u64) {
-        if n != 0 {
-            self.cas_failures.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one writer escalating to a group latch.
-    #[inline]
-    pub fn note_latch_wait(&self) {
-        self.latch_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` entries moved by the expansion drainer.
     #[inline]
     pub fn note_migration_steps(&self, n: u64) {
@@ -97,22 +71,17 @@ impl ConcurrencyCounters {
         ConcurrencySnapshot {
             seqlock_retries: self.seqlock_retries.load(Ordering::Relaxed),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            cas_failures: self.cas_failures.load(Ordering::Relaxed),
-            latch_waits: self.latch_waits.load(Ordering::Relaxed),
             migration_steps: self.migration_steps.load(Ordering::Relaxed),
         }
     }
 }
 
 impl ConcurrencySnapshot {
-    /// Serializes as `{seqlock_retries, lock_waits, cas_failures,
-    /// latch_waits, migration_steps}`.
+    /// Serializes as `{seqlock_retries, lock_waits, migration_steps}`.
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj();
         j.insert("seqlock_retries", self.seqlock_retries);
         j.insert("lock_waits", self.lock_waits);
-        j.insert("cas_failures", self.cas_failures);
-        j.insert("latch_waits", self.latch_waits);
         j.insert("migration_steps", self.migration_steps);
         j
     }
@@ -159,28 +128,21 @@ mod tests {
     fn json_shape() {
         let c = ConcurrencyCounters::new();
         c.note_lock_wait();
-        c.note_cas_failures(3);
-        c.note_latch_wait();
         c.note_migration_steps(7);
         let j = c.snapshot().to_json();
         assert_eq!(j.get("seqlock_retries").and_then(Json::as_u64), Some(0));
         assert_eq!(j.get("lock_waits").and_then(Json::as_u64), Some(1));
-        assert_eq!(j.get("cas_failures").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("latch_waits").and_then(Json::as_u64), Some(1));
         assert_eq!(j.get("migration_steps").and_then(Json::as_u64), Some(7));
     }
 
     #[test]
     fn bulk_notes_accumulate_and_zero_is_free() {
         let c = ConcurrencyCounters::new();
-        c.note_cas_failures(0);
         c.note_migration_steps(0);
         assert_eq!(c.snapshot(), ConcurrencySnapshot::default());
-        c.note_cas_failures(2);
-        c.note_cas_failures(5);
+        c.note_migration_steps(3);
         c.note_migration_steps(4);
         let s = c.snapshot();
-        assert_eq!(s.cas_failures, 7);
-        assert_eq!(s.migration_steps, 4);
+        assert_eq!(s.migration_steps, 7);
     }
 }

@@ -113,16 +113,16 @@ pub trait PmemRead {
     }
 }
 
-/// Shared-capability mutation over persistent memory, for lock-free
-/// writers.
+/// Shared-capability mutation over persistent memory.
 ///
 /// Everything here takes `&self`: many writer threads may mutate the same
 /// pool concurrently through cloned [`Pmem::WriteHandle`]s. The safety
 /// contract is the caller's: concurrent writers must target disjoint bytes
-/// (a cell-claim table, a latch, or a lock keeps them apart), with one
-/// exception — [`PmemWrite::compare_exchange_u64`] on the *same* aligned
-/// word is the supported contention point, exactly the 8-byte
-/// occupancy-bitmap CAS the lock-free insert path is built on.
+/// (a latch or a lock keeps them apart), with one exception —
+/// [`PmemWrite::compare_exchange_u64`] on the *same* aligned word is the
+/// supported contention point. The workspace's tables all write through
+/// the exclusive [`Pmem`] surface; this one is kept for pool wrappers that
+/// forward it.
 ///
 /// The persistence contract is unchanged from [`Pmem`]: a store is durable
 /// only after its line is flushed and a fence retires the flush.
@@ -177,13 +177,13 @@ pub trait PmemWrite: PmemRead {
 /// single-writer/many-readers discipline. Concurrent writers opt out of
 /// that static guarantee explicitly via [`Pmem::write_handle`], whose
 /// [`PmemWrite`] surface shifts the disjointness obligation onto a runtime
-/// protocol (claims + CAS).
+/// protocol.
 pub trait Pmem: PmemRead {
     /// Owning shared-read view of the same pool, for reader threads.
     type ReadHandle: PmemRead + Clone + Send + Sync + 'static;
 
     /// Owning shared-write view of the same pool, for concurrent writer
-    /// threads running a claim/CAS protocol.
+    /// threads that keep their stores apart by their own protocol.
     type WriteHandle: PmemWrite + Clone + Send + Sync + 'static;
 
     /// Returns a cloneable [`PmemRead`] handle sharing this pool's backing

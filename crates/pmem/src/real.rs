@@ -93,9 +93,9 @@ impl RealShared {
 
     // ---- shared mutation core (owner + write handles) -----------------
     //
-    // Plain writes require caller-guaranteed disjointness (a claim table
-    // or latch keeps concurrent writers on different bytes); the CAS is
-    // the one supported same-word contention point.
+    // Plain writes require caller-guaranteed disjointness (a latch keeps
+    // concurrent writers on different bytes); the CAS is the one supported
+    // same-word contention point.
 
     #[inline]
     fn write_bytes(&self, off: usize, data: &[u8]) {
@@ -132,8 +132,8 @@ impl RealShared {
         self.stats.note_atomic_write();
         // SAFETY: aligned (asserted), in-bounds (checked), and the pool is
         // cacheline-aligned so every 8-aligned offset is a valid AtomicU64
-        // location; the pool outlives the reference. AcqRel gives the
-        // claim-publish ordering the lock-free insert protocol needs.
+        // location; the pool outlives the reference. AcqRel orders the
+        // caller's earlier stores before a winning swap.
         let r = unsafe {
             let p = self.ptr.add(off) as *mut std::sync::atomic::AtomicU64;
             (*p).compare_exchange(
@@ -236,7 +236,7 @@ pub struct RealPmemReader {
 ///
 /// Mutations go straight to the shared bytes with no internal
 /// serialization: concurrent writers must keep plain `write`s on disjoint
-/// bytes (claim table / latch), and contend only through
+/// bytes (e.g. behind a latch), and contend only through
 /// [`PmemWrite::compare_exchange_u64`] — a genuine hardware `lock cmpxchg`
 /// on the pool word.
 #[derive(Debug, Clone)]

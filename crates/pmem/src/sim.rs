@@ -42,7 +42,7 @@
 //!
 //! Exactly one `SimPmem` owns each shared block (`clone` deep-copies);
 //! write handles opt into shared mutation explicitly and shift the
-//! disjointness obligation onto the caller's claim/CAS protocol.
+//! disjointness obligation onto the caller's own protocol.
 
 use crate::clock::{LatencyModel, SimClock};
 use crate::crash::{CrashPlan, CrashResolution, CrashSignal};

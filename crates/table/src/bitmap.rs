@@ -8,7 +8,7 @@
 //! of 512 cells, which is exactly the contiguity the group-sharing design
 //! wants.
 
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region};
+use nvm_pmem::{Pmem, PmemRead, Region};
 
 /// A fixed-size bitset in persistent memory, one bit per table cell.
 #[derive(Debug, Clone, Copy)]
@@ -102,75 +102,6 @@ impl PmemBitmap {
             w & !(1 << (idx % 64))
         };
         pm.atomic_write_u64(off, nw);
-    }
-
-    /// Lock-free variant of [`PmemBitmap::set_and_persist`] for shared
-    /// writers: flips bit `idx` with a CAS loop on its containing word and
-    /// persists the word. Neighbouring bits written concurrently by other
-    /// writers survive — each lost race re-reads the word and retries.
-    ///
-    /// Returns the number of *lost* CAS attempts (0 on an uncontended
-    /// flip). The winning attempt is the commit point; callers must hold
-    /// the cell's claim so no two writers flip the *same* bit.
-    #[inline]
-    pub fn cas_bit_and_persist<W: PmemWrite>(&self, w: &W, idx: u64, value: bool) -> u64 {
-        let off = self.word_off(idx);
-        let mask = 1u64 << (idx % 64);
-        let mut cur = w.read_u64(off);
-        let mut failures = 0;
-        loop {
-            let nw = if value { cur | mask } else { cur & !mask };
-            match w.compare_exchange_u64(off, cur, nw) {
-                Ok(_) => break,
-                Err(actual) => {
-                    failures += 1;
-                    cur = actual;
-                }
-            }
-        }
-        w.persist(off, 8);
-        failures
-    }
-
-    /// Shared *test-and-set* publish: atomically transitions bit `idx`
-    /// from `!value` to `value` with a CAS loop on its containing word,
-    /// then persists the word. Unlike
-    /// [`PmemBitmap::cas_bit_and_persist`] — which force-writes the bit
-    /// and relies on an external claim table to serialize same-bit
-    /// writers — this primitive *fails* when the bit is already in the
-    /// target state, so the bit itself arbitrates: of N racers for one
-    /// free slot, exactly one wins.
-    ///
-    /// Returns `Ok(lost_races)` for the winner (the word is persisted;
-    /// this is the commit point) and `Err(lost_races)` for losers
-    /// (nothing written, nothing persisted). Neighbouring bits written
-    /// concurrently survive, exactly as in the CellStore publish idiom.
-    #[inline]
-    pub fn try_set_and_persist<W: PmemWrite>(
-        &self,
-        w: &W,
-        idx: u64,
-        value: bool,
-    ) -> Result<u64, u64> {
-        let off = self.word_off(idx);
-        let mask = 1u64 << (idx % 64);
-        let mut cur = w.read_u64(off);
-        let mut lost = 0;
-        loop {
-            if (cur & mask != 0) == value {
-                return Err(lost);
-            }
-            let nw = if value { cur | mask } else { cur & !mask };
-            match w.compare_exchange_u64(off, cur, nw) {
-                Ok(_) => break,
-                Err(actual) => {
-                    lost += 1;
-                    cur = actual;
-                }
-            }
-        }
-        w.persist(off, 8);
-        Ok(lost)
     }
 
     /// Pool offset of the word containing bit `idx` (for undo logging).
@@ -341,59 +272,6 @@ mod tests {
         assert_eq!(bm.count_ones_in_range(&pm, 64, 64), 2);
         assert_eq!(bm.count_ones_in_range(&pm, 63, 2), 2);
         assert_eq!(bm.count_ones_in_range(&pm, 128, 172), 3);
-    }
-
-    #[test]
-    fn try_set_claims_exactly_once() {
-        let mut pm = SimPmem::new(1 << 12, SimConfig::fast_test());
-        let bm = PmemBitmap::create(&mut pm, Region::new(0, PmemBitmap::region_size(128)), 128);
-        let w = pm.write_handle();
-        assert_eq!(bm.try_set_and_persist(&w, 9, true), Ok(0));
-        // Second attempt on the same bit loses: the bit arbitrates.
-        assert_eq!(bm.try_set_and_persist(&w, 9, true), Err(0));
-        assert!(bm.get(&pm, 9));
-        // Clearing succeeds once, then fails.
-        assert_eq!(bm.try_set_and_persist(&w, 9, false), Ok(0));
-        assert_eq!(bm.try_set_and_persist(&w, 9, false), Err(0));
-        assert!(!bm.get(&pm, 9));
-        // Neighbouring bits are untouched throughout.
-        assert_eq!(bm.count_ones(&pm), 0);
-    }
-
-    #[test]
-    fn try_set_winner_is_durable() {
-        let mut pm = SimPmem::new(1 << 12, SimConfig::fast_test());
-        let bm = PmemBitmap::create(&mut pm, Region::new(0, PmemBitmap::region_size(64)), 64);
-        let w = pm.write_handle();
-        bm.try_set_and_persist(&w, 3, true).unwrap();
-        pm.crash(CrashResolution::DropUnflushed);
-        assert!(bm.get(&pm, 3), "winning try_set must persist its word");
-    }
-
-    #[test]
-    fn try_set_racers_one_winner_per_slot() {
-        use std::sync::Arc;
-        let mut pm = SimPmem::new(1 << 14, SimConfig::fast_test());
-        let bm = PmemBitmap::create(&mut pm, Region::new(0, PmemBitmap::region_size(64)), 64);
-        let w = pm.write_handle();
-        let wins = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let w = w.clone();
-                let wins = wins.clone();
-                let bm = &bm;
-                s.spawn(move || {
-                    for bit in 0..64 {
-                        if bm.try_set_and_persist(&w, bit, true).is_ok() {
-                            wins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        // Every bit claimed by exactly one thread.
-        assert_eq!(wins.load(std::sync::atomic::Ordering::Relaxed), 64);
-        assert_eq!(bm.count_ones(&pm), 64);
     }
 
     #[test]

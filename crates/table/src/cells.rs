@@ -6,7 +6,7 @@
 //! u64 value) and 32-byte cells (16-byte MD5 key + 16-byte value).
 
 use nvm_hashfn::Pod;
-use nvm_pmem::{align_up, Pmem, PmemRead, PmemWrite, Region};
+use nvm_pmem::{align_up, Pmem, PmemRead, Region};
 use std::marker::PhantomData;
 
 /// A persistent array of `n` cells of type `(K, V)`.
@@ -118,32 +118,6 @@ impl<K: Pod, V: Pod> CellArray<K, V> {
     #[inline]
     pub fn persist_entry<P: Pmem>(&self, pm: &mut P, idx: u64) {
         pm.persist(self.cell_off(idx), K::SIZE + V::SIZE);
-    }
-
-    /// Shared-writer variant of [`CellArray::write_entry`]. The caller
-    /// must hold cell `idx`'s claim — two concurrent writers to the same
-    /// cell would interleave bytes.
-    #[inline]
-    pub fn write_entry_shared<W: PmemWrite>(&self, w: &W, idx: u64, key: &K, value: &V) {
-        let mut buf = [0u8; 128];
-        debug_assert!(K::SIZE + V::SIZE <= 128);
-        key.write_to(&mut buf[..K::SIZE]);
-        value.write_to(&mut buf[K::SIZE..K::SIZE + V::SIZE]);
-        w.write(self.cell_off(idx), &buf[..K::SIZE + V::SIZE]);
-    }
-
-    /// Shared-writer variant of [`CellArray::clear_entry`] (claim
-    /// required, as above).
-    #[inline]
-    pub fn clear_entry_shared<W: PmemWrite>(&self, w: &W, idx: u64) {
-        let zeros = [0u8; 128];
-        w.write(self.cell_off(idx), &zeros[..K::SIZE + V::SIZE]);
-    }
-
-    /// Shared-writer variant of [`CellArray::persist_entry`].
-    #[inline]
-    pub fn persist_entry_shared<W: PmemWrite>(&self, w: &W, idx: u64) {
-        w.persist(self.cell_off(idx), K::SIZE + V::SIZE);
     }
 
     /// Byte length of one entry (un-padded).

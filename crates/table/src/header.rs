@@ -12,12 +12,9 @@
 //! 8-byte atomic store and persisted immediately (`AtomicInc(count);
 //! Persist(count)` in Algorithms 1 and 3). After a crash it may lag the
 //! bitmap by at most one operation, which recovery repairs by recounting.
-//! Under concurrent writers the same word is maintained with a CAS loop
-//! ([`TableHeader::inc_count_shared`]) — still one atomic write + one
-//! persist per uncontended op.
 
 use crate::TableError;
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region, CACHELINE};
+use nvm_pmem::{Pmem, PmemRead, Region, CACHELINE};
 
 const OFF_MAGIC: usize = 0;
 const OFF_SEED: usize = 8;
@@ -124,42 +121,6 @@ impl TableHeader {
         self.region.off + OFF_COUNT
     }
 
-    /// Shared-writer `AtomicInc(count); Persist(count)`: a CAS loop keeps
-    /// concurrent increments exact where a blind store would lose updates.
-    /// Returns lost CAS attempts (0 uncontended — then the cost is
-    /// identical to [`TableHeader::inc_count`]: 1 atomic, 1 flush, 1
-    /// fence).
-    pub fn inc_count_shared<W: PmemWrite>(&self, w: &W) -> u64 {
-        let off = self.region.off + OFF_COUNT;
-        let mut c = w.read_u64(off);
-        let mut failures = 0;
-        while let Err(actual) = w.compare_exchange_u64(off, c, c + 1) {
-            failures += 1;
-            c = actual;
-        }
-        w.persist(off, 8);
-        failures
-    }
-
-    /// Shared-writer `AtomicDec(count); Persist(count)` (CAS loop).
-    pub fn dec_count_shared<W: PmemWrite>(&self, w: &W) -> u64 {
-        let off = self.region.off + OFF_COUNT;
-        let mut c = w.read_u64(off);
-        let mut failures = 0;
-        loop {
-            assert!(c > 0, "count underflow");
-            match w.compare_exchange_u64(off, c, c - 1) {
-                Ok(_) => break,
-                Err(actual) => {
-                    failures += 1;
-                    c = actual;
-                }
-            }
-        }
-        w.persist(off, 8);
-        failures
-    }
-
     /// The persisted migration cursor: cells `< cursor` of this table
     /// have been drained into the expansion target.
     pub fn migration_cursor<R: PmemRead>(&self, pm: &R) -> u64 {
@@ -252,36 +213,6 @@ mod tests {
         let h = TableHeader::open(&mut pm, r, MAGIC).unwrap();
         assert_eq!(h.seed(&pm), 9);
         assert_eq!(h.geometry(&pm, 0), 5);
-    }
-
-    #[test]
-    fn shared_count_matches_exclusive_and_is_exact_under_races() {
-        let mut pm = pool();
-        let h = TableHeader::create(&mut pm, Region::new(0, 128), MAGIC, 0, &[]);
-        let w = pm.write_handle();
-        pm.reset_stats();
-        assert_eq!(h.inc_count_shared(&w), 0);
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (1, 1, 1));
-        assert_eq!(h.count(&pm), 1);
-        assert_eq!(h.dec_count_shared(&w), 0);
-        assert_eq!(h.count(&pm), 0);
-
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let w = pm.write_handle();
-                std::thread::spawn(move || {
-                    let h = h;
-                    for _ in 0..500 {
-                        h.inc_count_shared(&w);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(&pm), 2000, "no lost increments");
     }
 
     #[test]

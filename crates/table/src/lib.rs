@@ -34,7 +34,6 @@
 
 mod bitmap;
 mod cells;
-mod claims;
 pub mod crashtest;
 mod error;
 mod header;
@@ -47,7 +46,6 @@ mod store;
 
 pub use bitmap::PmemBitmap;
 pub use cells::CellArray;
-pub use claims::CellClaims;
 pub use error::TableError;
 pub use header::TableHeader;
 pub use journal::Journal;
@@ -56,4 +54,4 @@ pub use migrate::{
     migrate_recover, migrate_recover_split, migrate_step, migrate_step_same_pool, MigrationSource,
 };
 pub use scheme::{BatchError, ConsistencyMode, HashScheme, InsertError, OpKind};
-pub use store::{BatchSession, CellStore, TryPublish, TryRetract};
+pub use store::{BatchSession, CellStore};

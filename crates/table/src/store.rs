@@ -21,39 +21,10 @@
 //! [`crate::probe`]; scheme policy (which cell to try next) one layer above
 //! that.
 
-use crate::{CellArray, CellClaims, ConsistencyMode, Journal, PmemBitmap};
+use crate::{CellArray, ConsistencyMode, Journal, PmemBitmap};
 use nvm_hashfn::Pod;
-use nvm_pmem::{Pmem, PmemRead, PmemWrite, Region};
+use nvm_pmem::{Pmem, PmemRead, Region};
 use std::collections::HashSet;
-
-/// Outcome of a lock-free [`CellStore::try_publish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPublish {
-    /// Committed. `cas_failures` counts lost bitmap-word races (0 when
-    /// uncontended).
-    Done {
-        /// Lost CAS attempts on the bitmap word before the winning flip.
-        cas_failures: u64,
-    },
-    /// The cell is claimed by another writer, or already committed —
-    /// re-plan against fresh occupancy.
-    Busy,
-}
-
-/// Outcome of a lock-free [`CellStore::try_retract`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRetract {
-    /// Retracted. `cas_failures` as in [`TryPublish::Done`].
-    Done {
-        /// Lost CAS attempts on the bitmap word before the winning flip.
-        cas_failures: u64,
-    },
-    /// Another writer holds the cell's claim right now — retry.
-    Busy,
-    /// The cell no longer holds the expected key (already removed, or
-    /// reused for a different key) — re-locate.
-    Gone,
-}
 
 /// One level (or the whole array) of a scheme's cells: bitmap + codec +
 /// commit choreography.
@@ -138,83 +109,6 @@ impl<K: Pod, V: Pod> CellStore<K, V> {
         self.bitmap.set_and_persist(pm, idx, false);
         self.cells.clear_entry(pm, idx);
         self.cells.persist_entry(pm, idx);
-    }
-
-    /// Lock-free publish for concurrent writers: claim the cell, write +
-    /// persist its bytes, then commit with a CAS loop on the occupancy
-    /// word — writers publishing *different* cells of the same group (even
-    /// the same word) never block each other.
-    ///
-    /// Persistence cost is identical to [`CellStore::publish`]: 2 flushes,
-    /// 2 fences, and (uncontended) 1 atomic write; each lost word race
-    /// adds one atomic write, reported in [`TryPublish::Done`].
-    ///
-    /// `after_commit` runs while the claim is still held, after the bit is
-    /// durable — the hook for volatile per-cell caches (fingerprint tags):
-    /// holding the claim across the hook means no other writer can reuse
-    /// the cell and race its own tag update against ours.
-    ///
-    /// Returns [`TryPublish::Busy`] (nothing written) if the cell is
-    /// claimed or already committed; the caller re-plans.
-    pub fn try_publish<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        idx: u64,
-        key: &K,
-        value: &V,
-        after_commit: impl FnOnce(),
-    ) -> TryPublish {
-        if !claims.try_claim(idx) {
-            return TryPublish::Busy;
-        }
-        if self.bitmap.get(w, idx) {
-            // Lost the planning race: someone committed this cell between
-            // our free-cell scan and the claim.
-            claims.release(idx);
-            return TryPublish::Busy;
-        }
-        self.cells.write_entry_shared(w, idx, key, value);
-        self.cells.persist_entry_shared(w, idx);
-        let cas_failures = self.bitmap.cas_bit_and_persist(w, idx, true);
-        after_commit();
-        claims.release(idx);
-        TryPublish::Done { cas_failures }
-    }
-
-    /// Lock-free retract, inverted order like [`CellStore::retract`]:
-    /// claim, verify the cell still commits `expected_key`, CAS-clear the
-    /// bit (the commit), then scrub. Same 2-flush / 2-fence / 1-atomic
-    /// budget as the exclusive path.
-    ///
-    /// `after_commit` runs under the claim once the bit-clear is durable
-    /// and the cell is scrubbed (tag-cache invalidation hook; the claim
-    /// prevents a concurrent re-publisher of this cell from setting its
-    /// new tag before we clear the old one).
-    pub fn try_retract<W: PmemWrite>(
-        &self,
-        w: &W,
-        claims: &CellClaims,
-        idx: u64,
-        expected_key: &K,
-        after_commit: impl FnOnce(),
-    ) -> TryRetract
-    where
-        K: PartialEq,
-    {
-        if !claims.try_claim(idx) {
-            return TryRetract::Busy;
-        }
-        if !self.bitmap.get(w, idx) || self.cells.read_key(w, idx) != *expected_key {
-            claims.release(idx);
-            return TryRetract::Gone;
-        }
-        let cas_failures = self.bitmap.cas_bit_and_persist(w, idx, false);
-        self.cells.clear_entry_shared(w, idx);
-        self.cells.persist_entry_shared(w, idx);
-        after_commit();
-        claims.release(idx);
-        TryRetract::Done { cas_failures }
     }
 
     /// Records the pre-images a [`CellStore::publish`] of `idx` will
@@ -665,107 +559,6 @@ mod tests {
         sess.commit(&mut pm, &mut j, None);
         assert!(s.is_occupied(&pm, 1));
         assert!(s.is_free_for(&pm, &sess, 2));
-    }
-
-    /// The lock-free publish/retract pair matches the exclusive-path
-    /// persistence budget exactly (2 flushes / 2 fences / 1 atomic each).
-    #[test]
-    fn try_publish_and_retract_match_exclusive_budget() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let claims = CellClaims::new(64);
-        let w = pm.write_handle();
-        pm.reset_stats();
-        let r = s.try_publish(&w, &claims, 3, &7, &70, || {});
-        assert_eq!(r, TryPublish::Done { cas_failures: 0 });
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert!(s.is_occupied(&pm, 3));
-        assert_eq!(s.read_value(&pm, 3), 70);
-        assert!(!claims.is_claimed(3), "claim released after commit");
-
-        pm.reset_stats();
-        let r = s.try_retract(&w, &claims, 3, &7, || {});
-        assert_eq!(r, TryRetract::Done { cas_failures: 0 });
-        let st = pm.stats();
-        assert_eq!((st.flushes, st.fences, st.atomic_writes), (2, 2, 1));
-        assert!(!s.is_occupied(&pm, 3));
-        assert!(s.cells.is_zeroed(&pm, 3));
-    }
-
-    #[test]
-    fn try_publish_refuses_claimed_or_occupied_cells() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let claims = CellClaims::new(64);
-        let w = pm.write_handle();
-        assert!(claims.try_claim(5));
-        assert_eq!(s.try_publish(&w, &claims, 5, &1, &2, || {}), TryPublish::Busy);
-        claims.release(5);
-        s.publish(&mut pm, 5, &1, &2);
-        pm.reset_stats();
-        assert_eq!(s.try_publish(&w, &claims, 5, &9, &9, || {}), TryPublish::Busy);
-        assert_eq!(pm.stats().writes, 0, "busy publish writes nothing");
-        assert!(!claims.is_claimed(5));
-    }
-
-    #[test]
-    fn try_retract_reports_gone_on_mismatch() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let claims = CellClaims::new(64);
-        let w = pm.write_handle();
-        assert_eq!(s.try_retract(&w, &claims, 2, &1, || {}), TryRetract::Gone);
-        s.publish(&mut pm, 2, &10, &11);
-        assert_eq!(s.try_retract(&w, &claims, 2, &99, || {}), TryRetract::Gone);
-        assert!(s.is_occupied(&pm, 2), "mismatch must not retract");
-        assert!(claims.try_claim(2));
-        assert_eq!(s.try_retract(&w, &claims, 2, &10, || {}), TryRetract::Busy);
-        claims.release(2);
-        assert_eq!(s.try_retract(&w, &claims, 2, &10, || {}), TryRetract::Done { cas_failures: 0 });
-    }
-
-    #[test]
-    fn after_commit_hook_runs_inside_claim_window() {
-        let (mut pm, s) = store(1 << 16, 64);
-        let claims = CellClaims::new(64);
-        let w = pm.write_handle();
-        let mut saw_claim = false;
-        s.try_publish(&w, &claims, 1, &4, &5, || {
-            saw_claim = claims.is_claimed(1);
-        });
-        assert!(saw_claim, "hook must run before the claim is released");
-    }
-
-    #[test]
-    fn concurrent_publishers_share_a_bitmap_word_without_losing_bits() {
-        let mut pm = SimPmem::new(1 << 18, SimConfig::fast_test());
-        let bm = Region::new(0, PmemBitmap::region_size(64).max(8));
-        let cells = Region::new(1024, CellArray::<u64, u64>::region_size(64));
-        let s = CellStore::<u64, u64>::create(&mut pm, bm, cells, 64);
-        let claims = std::sync::Arc::new(CellClaims::new(64));
-        // 4 writers × 16 cells, all 64 bits in the SAME bitmap word.
-        let threads: Vec<_> = (0..4u64)
-            .map(|t| {
-                let w = pm.write_handle();
-                let claims = std::sync::Arc::clone(&claims);
-                std::thread::spawn(move || {
-                    for i in (t * 16)..(t * 16 + 16) {
-                        loop {
-                            match s.try_publish(&w, &claims, i, &i, &(i * 2), || {}) {
-                                TryPublish::Done { .. } => break,
-                                TryPublish::Busy => std::hint::spin_loop(),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(s.occupied(&pm), 64, "every publish committed");
-        for i in 0..64 {
-            assert_eq!(s.read_key(&pm, i), i);
-            assert_eq!(s.read_value(&pm, i), i * 2);
-        }
     }
 
     /// A logged batch chunk is all-or-nothing: crash before the journal
