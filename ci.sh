@@ -10,15 +10,8 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "==> cargo test -q (group-hash, instrument feature)"
-cargo test -q -p group-hash --features instrument
-
-echo "==> cargo test -q (nvm-table conformance, instrument features)"
-cargo test -q -p nvm-table --features group-hash/instrument,nvm-baselines/instrument
-
 echo "==> cargo test -q (batch conformance: prefix durability at every crash point)"
-cargo test -q -p nvm-table --features group-hash/instrument,nvm-baselines/instrument \
-  --test conformance batch
+cargo test -q -p nvm-table --test conformance batch
 
 echo "==> layering lint (no upward dependencies)"
 # The crate layering is probe-plan/cell-store toolkit (nvm-table) ->
@@ -171,12 +164,13 @@ for helper in migrate_step expand_step; do
   }
 done
 
-echo "==> one-mechanism lint (no second growth path, commit family, write path or KV API)"
+echo "==> one-mechanism lint (no second growth path, commit family, write path, KV API or build)"
 # One growth path (expand_step), one commit family (CellStore/
 # BatchSession without tag-carrying twins), one write path per shard
 # (the shard latch + seqlock; no lock-free CAS writer family), one public
-# KV entry point (Store). Volatile tags splice at stage time; they never
-# need their own commit entry points.
+# KV entry point (Store), one build of every scheme (recording is
+# unconditional; no cargo feature switches it). Volatile tags splice at
+# stage time; they never need their own commit entry points.
 if grep -rnE 'fn [a-z_]+_tagged\b|expand_into|ResizingGroupHash|migrate_into|#\[deprecated' \
     crates/ | grep .; then
   echo "mechanism lint: a removed growth path, _tagged commit or deprecated shim came back" >&2
@@ -185,6 +179,10 @@ fi
 if grep -rnE 'try_publish|try_retract|try_insert_shared|try_remove_shared|CellClaims|TableClaims|try_alloc_in|_count_shared|_entry_shared' \
     crates/ | grep .; then
   echo "mechanism lint: the removed CAS shared-writer family came back" >&2
+  exit 1
+fi
+if grep -rnE 'feature = "instrument"|instrument = \[' crates/ Cargo.toml | grep .; then
+  echo "mechanism lint: the removed instrument feature came back" >&2
   exit 1
 fi
 
@@ -211,11 +209,11 @@ cargo bench --no-run --workspace
 echo "==> cargo test --doc (runnable examples in rustdoc)"
 cargo test -q --doc --workspace
 
-echo "==> docs gate: every results/*.csv cited in EXPERIMENTS.md exists"
+echo "==> docs gate: every results/*.{csv,json,txt} cited in EXPERIMENTS.md or DESIGN.md exists"
 docs_fail=0
-for f in $(grep -oE 'results/[A-Za-z0-9_.-]+\.csv' EXPERIMENTS.md | sort -u); do
+for f in $(grep -ohE 'results/[A-Za-z0-9_.-]+\.(csv|json|txt)' EXPERIMENTS.md DESIGN.md | sort -u); do
   if [ ! -f "$f" ]; then
-    echo "EXPERIMENTS.md cites $f but it is not checked in" >&2
+    echo "EXPERIMENTS.md or DESIGN.md cites $f but it is not checked in" >&2
     docs_fail=1
   fi
 done

@@ -77,7 +77,6 @@ pub struct Iceberg<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as the other
     /// schemes; displacement is identically zero — stability).
-    #[cfg(feature = "instrument")]
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -145,7 +144,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(3 * ICEBERG_LANES as usize),
             region,
             _marker: PhantomData,
@@ -268,14 +266,10 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         }
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
+    /// Records a completed lookup probe walk.
     #[inline]
     fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
     }
 
     /// Records one insert: cells examined, occupied cells stepped over,
@@ -283,14 +277,9 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
     /// stability claim in the histograms.
     #[inline]
     fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
+        self.instr.record_probe(probes);
+        self.instr.record_occupancy(occupied);
+        self.instr.record_displacement(0);
     }
 
     /// Scans one bucket for `key`, counting each cell whose key bytes are
@@ -456,14 +445,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Iceberg<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {

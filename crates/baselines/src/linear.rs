@@ -44,7 +44,6 @@ pub struct LinearProbing<P: Pmem, K: HashKey, V: Pod> {
     migrating: bool,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -83,7 +82,6 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
             store: CellStore::attach(b, c, n),
             journal,
             migrating: false,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(16),
             region,
             _marker: PhantomData,
@@ -172,14 +170,10 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
         self.plan.home(self.hash.h1(key))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
+    /// Records a completed lookup probe walk.
     #[inline]
     fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
     }
 
     /// Records one insert attempt: cells examined and occupied cells
@@ -187,14 +181,9 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
     /// always 0).
     #[inline]
     fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
+        self.instr.record_probe(probes);
+        self.instr.record_occupancy(occupied);
+        self.instr.record_displacement(0);
     }
 
     /// Group-commits a staged insert chunk; the count rides the session
@@ -240,14 +229,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for LinearProbing<P, K, V>
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {

@@ -51,7 +51,6 @@ pub struct PathHash<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -115,7 +114,6 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(16),
             region,
             _marker: PhantomData,
@@ -221,14 +219,10 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
         self.plan.path_cells(l1, l2).find(|&idx| f(pm, idx))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
+    /// Records a completed lookup probe walk.
     #[inline]
     fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
     }
 
     /// Records one insert attempt: path cells examined and occupied path
@@ -236,14 +230,9 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
     /// relocates, so displacement is always 0).
     #[inline]
     fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
+        self.instr.record_probe(probes);
+        self.instr.record_occupancy(occupied);
+        self.instr.record_displacement(0);
     }
 
     /// Locates `key`.
@@ -299,14 +288,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for PathHash<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {

@@ -52,7 +52,6 @@ pub struct Pfht<P: Pmem, K: HashKey, V: Pod> {
     journal: Journal,
     /// Probe/occupancy/displacement recording (same schema as group
     /// hashing). Pure DRAM arithmetic; never touches the pool.
-    #[cfg(feature = "instrument")]
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -124,7 +123,6 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
             header,
             store: CellStore::attach(b, c, total),
             journal,
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(2 * BUCKET_CELLS as usize),
             region,
             _marker: PhantomData,
@@ -219,14 +217,10 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
         self.plan.buckets(self.hash.h1(key), self.hash.h2(key))
     }
 
-    /// Records a completed lookup probe walk (no-op without the
-    /// `instrument` feature).
+    /// Records a completed lookup probe walk.
     #[inline]
     fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
     }
 
     /// Records one insert attempt: cells examined, occupied cells stepped
@@ -234,14 +228,9 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
     /// most one displacement" rule).
     #[inline]
     fn note_insert(&self, probes: u64, occupied: u64, displaced: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(displaced);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied, displaced);
+        self.instr.record_probe(probes);
+        self.instr.record_occupancy(occupied);
+        self.instr.record_displacement(displaced);
     }
 
     /// Finds a free slot in bucket `b`.
@@ -415,14 +404,7 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Pfht<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 
     fn insert(&mut self, pm: &mut P, key: K, value: V) -> Result<(), InsertError> {

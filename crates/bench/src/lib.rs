@@ -68,8 +68,7 @@ impl BenchScheme {
     }
 
     /// The scheme's probe/occupancy/displacement histograms. Always
-    /// `Some` here: gh-bench's dependency graph builds the scheme crates
-    /// with their `instrument` feature (via gh-harness).
+    /// `Some`: every scheme records them.
     pub fn instrumentation(&self) -> Option<&nvm_metrics::SchemeInstrumentation> {
         match self {
             BenchScheme::Linear(t) => HashScheme::<RealPmem, u64, u64>::instrumentation(t),
@@ -181,7 +180,7 @@ mod tests {
             let (mut pm, mut t) = build_real(name, 1 << 10, ConsistencyMode::None);
             let keys = fill_real(&mut pm, &mut t, 0.3, 3);
             assert!(!keys.is_empty());
-            let s = probe_summary(&t).expect("instrument enabled via gh-harness");
+            let s = probe_summary(&t).expect("every scheme records");
             assert!(s.contains("p50"), "{name}: {s}");
         }
     }

@@ -680,8 +680,8 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
     /// Probe/occupancy/displacement histograms aggregated across all
     /// shards (draining sources included) — an owned snapshot merged
     /// under each shard's latch, so it is internally consistent per shard
-    /// but only globally consistent when quiescent. `None` unless the
-    /// crate was built with the `instrument` feature.
+    /// but only globally consistent when quiescent. Always `Some`: every
+    /// shard table records.
     pub fn instrumentation(&self) -> Option<SchemeInstrumentation> {
         let mut agg: Option<SchemeInstrumentation> = None;
         for i in 0..self.shards.len() {

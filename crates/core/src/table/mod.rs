@@ -89,8 +89,7 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     fp: Option<FpCache>,
     /// Probe/occupancy/displacement recording. Derived purely from
     /// arithmetic the operations already do — recording never touches the
-    /// pool, so instrumented runs report identical `PmemStats`.
-    #[cfg(feature = "instrument")]
+    /// pool, so recording leaves `PmemStats` unchanged.
     instr: SchemeInstrumentation,
     region: Region,
     _marker: PhantomData<fn(&mut P)>,
@@ -135,21 +134,16 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             journal: Journal::open(consistency_of(config.commit), log_r),
             volatile_count: AtomicU64::new(0),
             fp: (config.fp == FpMode::On).then(|| FpCache::new(n)),
-            #[cfg(feature = "instrument")]
             instr: SchemeInstrumentation::new(config.group_size as usize),
             region,
             _marker: PhantomData,
         }
     }
 
-    /// Records a completed lookup-style probe sequence (no-op without the
-    /// `instrument` feature).
+    /// Records a completed lookup-style probe sequence.
     #[inline]
     fn note_probe(&self, cells: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.record_probe(cells);
-        #[cfg(not(feature = "instrument"))]
-        let _ = cells;
     }
 
     /// Records one insert attempt: cells examined, occupied cells stepped
@@ -157,25 +151,17 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// 0 — group hashing never relocates entries).
     #[inline]
     fn note_insert(&self, probes: u64, occupied: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.record_probe(probes);
-            self.instr.record_occupancy(occupied);
-            self.instr.record_displacement(0);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (probes, occupied);
+        self.instr.record_probe(probes);
+        self.instr.record_occupancy(occupied);
+        self.instr.record_displacement(0);
     }
 
     /// Records one completed batch entry point: ops committed and the
-    /// pmem fences/flushes its body spent (no-op without `instrument`).
-    /// Single ops route through a one-element batch and count here too.
+    /// pmem fences/flushes its body spent. Single ops route through a
+    /// one-element batch and count here too.
     #[inline]
     fn note_batch(&self, ops: u64, fences: u64, flushes: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.batch.record(ops, fences, flushes);
-        #[cfg(not(feature = "instrument"))]
-        let _ = (ops, fences, flushes);
     }
 
     /// Records key loads issued from the pool by a lookup-style probe
@@ -183,10 +169,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// runs report the probe path's NVM traffic in the same counter).
     #[inline]
     fn note_key_reads(&self, n: u64) {
-        #[cfg(feature = "instrument")]
         self.instr.fingerprint.key_reads.add(n);
-        #[cfg(not(feature = "instrument"))]
-        let _ = n;
     }
 
     /// Records fingerprint-filter outcomes: occupied cells skipped on a
@@ -194,14 +177,9 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// matches confirmed by the key bytes.
     #[inline]
     fn note_fp(&self, skips: u64, false_positives: u64, hits: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            self.instr.fingerprint.skips.add(skips);
-            self.instr.fingerprint.false_positives.add(false_positives);
-            self.instr.fingerprint.hits.add(hits);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (skips, false_positives, hits);
+        self.instr.fingerprint.skips.add(skips);
+        self.instr.fingerprint.false_positives.add(false_positives);
+        self.instr.fingerprint.hits.add(hits);
     }
 
     /// Creates and initializes a fresh table in `region`.
@@ -470,13 +448,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for GroupHash<P, K, V> {
     }
 
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
-        #[cfg(feature = "instrument")]
-        {
-            Some(&self.instr)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            None
-        }
+        Some(&self.instr)
     }
 }

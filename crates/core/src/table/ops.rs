@@ -544,7 +544,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// Finds the `(level, cell)` holding `key`, probing the candidate
     /// slot(s) then the matched group(s). Records one probe-length sample
-    /// (cells examined) per call when instrumentation is enabled.
+    /// (cells examined) per call.
     pub(super) fn locate<R: PmemRead>(&self, pm: &R, key: &K) -> Option<(Level, u64)> {
         let (k1, k2) = self.candidate_slots(key);
         let tag = self.fp.as_ref().map(|_| self.fp_tag(key));

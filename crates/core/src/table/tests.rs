@@ -442,7 +442,6 @@ fn fingerprint_cuts_key_reads_on_negative_lookups() {
     );
 }
 
-#[cfg(feature = "instrument")]
 #[test]
 fn fingerprint_counters_and_probe_parity() {
     // Probe histograms are defined to be mode-independent, and the

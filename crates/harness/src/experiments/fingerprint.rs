@@ -56,9 +56,8 @@ pub struct RunData {
 pub const GROUP_SIZES: [u64; 3] = [16, 32, 64];
 
 fn fp_counters(t: &GroupHash<SimPmem, u64, u64>) -> (u64, u64, u64, u64) {
-    // The harness always builds group-hash with `instrument` on.
     let f = &HashScheme::instrumentation(t)
-        .expect("harness enables the instrument feature")
+        .expect("group hashing always records")
         .fingerprint;
     (
         f.key_reads.get(),

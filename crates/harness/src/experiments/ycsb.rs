@@ -65,8 +65,7 @@ pub fn collect(args: &Args) -> Vec<YcsbReport> {
 }
 
 /// Probe-length p99 over the whole run (fill included), from the
-/// scheme's instrumentation. The harness always builds with
-/// `instrument`, so this is present.
+/// scheme's instrumentation, which every scheme records.
 fn probe_p99(r: &YcsbReport) -> f64 {
     r.scheme_metrics
         .as_ref()

@@ -266,9 +266,8 @@ mod tests {
         }
     }
 
-    /// The harness builds its scheme crates with `instrument`, so every
-    /// scheme must surface probe/occupancy/displacement histograms, one
-    /// probe sample per operation.
+    /// Every scheme surfaces probe/occupancy/displacement histograms,
+    /// one probe sample per operation.
     #[test]
     fn every_scheme_records_instrumentation() {
         for kind in SchemeKind::ALL {
@@ -280,7 +279,7 @@ mod tests {
             for k in 0..100u64 {
                 assert!(t.get(&pm, &k).is_some());
             }
-            let i = t.instrumentation().expect("instrument feature enabled");
+            let i = t.instrumentation().expect("every scheme records");
             assert_eq!(i.probe.count(), 200, "{kind:?}: inserts + gets");
             assert_eq!(i.occupancy.count(), 100, "{kind:?}: one per insert");
             assert_eq!(i.displacement.count(), 100, "{kind:?}: one per insert");

@@ -43,7 +43,7 @@ use crate::{KvConfig, KvError, KvReadView, PmemKv};
 use group_hash::FpMode;
 use nvm_alloc::{AllocError, FragStats};
 use nvm_hashfn::murmur3_x64_128;
-use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry};
+use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry, SchemeInstrumentation};
 use nvm_pmem::{Pmem, PmemStats, Region, SimConfig, SimPmem};
 use nvm_table::{ConsistencyMode, TableError};
 use parking_lot::Mutex;
@@ -680,8 +680,7 @@ impl<P: Pmem> Store<P> {
     }
 
     /// Observability registry: pmem counters summed over shards, heap
-    /// counters merged, plus (with the `instrument` feature) shard 0's
-    /// index histograms.
+    /// counters and index histograms merged over shards.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.set_pmem("pmem", &self.pmem_stats());
@@ -690,8 +689,17 @@ impl<P: Pmem> Store<P> {
         let mut gc_moves = 0;
         let mut leaked = 0;
         let mut slab_writes: Vec<u64> = Vec::new();
+        let mut index: Option<SchemeInstrumentation> = None;
         for s in &self.core.shards {
             let inner = s.inner.lock();
+            if let Some(i) =
+                nvm_table::HashScheme::<P, [u8; 16], u64>::instrumentation(&inner.kv.index)
+            {
+                match &index {
+                    Some(agg) => agg.merge(i),
+                    None => index = Some(i.clone()),
+                }
+            }
             let hs = inner.kv.heap.stats();
             allocs += hs.allocs;
             frees += hs.frees;
@@ -709,13 +717,8 @@ impl<P: Pmem> Store<P> {
             "heap",
             &HeapCounters::from_heap(allocs, frees, gc_moves, leaked, &slab_writes),
         );
-        if let Some(s) = self.core.shards.first() {
-            let inner = s.inner.lock();
-            if let Some(i) =
-                nvm_table::HashScheme::<P, [u8; 16], u64>::instrumentation(&inner.kv.index)
-            {
-                reg.set_instrumentation("index", i);
-            }
+        if let Some(i) = &index {
+            reg.set_instrumentation("index", i);
         }
         reg
     }
@@ -1277,12 +1280,25 @@ mod tests {
         assert!(json.contains("\"pmem\""), "{json}");
         assert!(json.contains("\"flushes\""), "{json}");
         assert!(json.contains("\"heap\""), "{json}");
-        // With `instrument` (directly or via feature unification) the
-        // index section carries the probe histogram.
-        if cfg!(feature = "instrument") {
-            assert!(json.contains("\"index\""), "{json}");
-            assert!(json.contains("\"probe\""), "{json}");
+        assert!(json.contains("\"index\""), "{json}");
+        assert!(json.contains("\"probe\""), "{json}");
+    }
+
+    #[test]
+    fn metrics_index_section_merges_every_shard() {
+        let store = StoreBuilder::new()
+            .capacity(512, 32)
+            .shards(3)
+            .create_sim(SimConfig::fast_test())
+            .unwrap();
+        let n = 90u64;
+        for i in 0..n {
+            let k = format!("m{i}");
+            store.set(k.as_bytes(), b"v").unwrap();
         }
+        let reg = store.metrics().to_json();
+        let ops = reg.get("index").and_then(|j| j.get("batch")).and_then(|j| j.get("ops"));
+        assert_eq!(ops.and_then(|j| j.as_u64()), Some(n), "{}", reg.to_string_pretty());
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!
 //! Recording paths take `&self` (interior mutability) so immutable lookup
 //! code can record, and everything is plain counters — no locks, no
-//! allocation after construction. Schemes compile recording behind their
-//! `instrument` feature; with the feature off the hooks are empty and the
-//! compiler removes them.
+//! allocation after construction. Every scheme records unconditionally;
+//! recording is DRAM arithmetic and never touches the pool.
 //!
 //! # Example
 //!

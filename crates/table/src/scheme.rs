@@ -220,11 +220,9 @@ pub trait HashScheme<P: Pmem, K: HashKey, V: Pod> {
         self.get(pm, key).is_some()
     }
 
-    /// The scheme's probe/occupancy/displacement histograms, when the
-    /// implementation records them (schemes compile recording behind an
-    /// `instrument` feature; without it this stays `None` and the hooks
-    /// cost nothing). Concurrent wrappers return an aggregate across
-    /// shards.
+    /// The scheme's probe/occupancy/displacement histograms. Every real
+    /// scheme records them and returns `Some`; the default `None` is for
+    /// implementations (test doubles) that record nothing.
     fn instrumentation(&self) -> Option<&SchemeInstrumentation> {
         None
     }

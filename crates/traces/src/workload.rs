@@ -84,7 +84,7 @@ pub struct RunMetrics {
     /// models a cache.
     pub cache_total: Option<CacheStats>,
     /// The scheme's probe/occupancy/displacement histograms — `None`
-    /// unless the scheme was built with its `instrument` feature.
+    /// only for schemes that record nothing.
     pub scheme: Option<SchemeInstrumentation>,
 }
 
@@ -406,7 +406,7 @@ pub struct YcsbReport {
     /// Persistence totals across the whole run, fill included.
     pub pmem_total: PmemStats,
     /// The scheme's probe/occupancy/displacement histograms (fill phase
-    /// included) when it was built with `instrument`.
+    /// included); `None` only for schemes that record nothing.
     pub scheme_metrics: Option<SchemeInstrumentation>,
 }
 
