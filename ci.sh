@@ -164,13 +164,14 @@ for helper in migrate_step expand_step; do
   }
 done
 
-echo "==> one-mechanism lint (no second growth path, commit family, write path, KV API or build)"
+echo "==> one-mechanism lint (no second growth path, commit family, write path, KV API, build, group layout or count)"
 # One growth path (expand_step), one commit family (CellStore/
 # BatchSession without tag-carrying twins), one write path per shard
 # (the shard latch + seqlock; no lock-free CAS writer family), one public
 # KV entry point (Store), one build of every scheme (recording is
-# unconditional; no cargo feature switches it). Volatile tags splice at
-# stage time; they never need their own commit entry points.
+# unconditional; no cargo feature switches it), one group layout
+# (contiguous level-2 cells) and one persistent count. Volatile tags
+# splice at stage time; they never need their own commit entry points.
 if grep -rnE 'fn [a-z_]+_tagged\b|expand_into|ResizingGroupHash|migrate_into|#\[deprecated' \
     crates/ | grep .; then
   echo "mechanism lint: a removed growth path, _tagged commit or deprecated shim came back" >&2
@@ -183,6 +184,10 @@ if grep -rnE 'try_publish|try_retract|try_insert_shared|try_remove_shared|CellCl
 fi
 if grep -rnE 'feature = "instrument"|instrument = \[' crates/ Cargo.toml | grep .; then
   echo "mechanism lint: the removed instrument feature came back" >&2
+  exit 1
+fi
+if grep -rnE 'ProbeLayout|CountMode|volatile_count|with_probe\(|with_count_mode' crates/ | grep .; then
+  echo "mechanism lint: the removed strided-layout or volatile-count knob came back" >&2
   exit 1
 fi
 

@@ -1,15 +1,13 @@
-//! Ablation benches for group hashing's three design choices (DESIGN.md):
+//! Ablation benches for group hashing's design choices (DESIGN.md):
 //!
 //! * `commit`: 8-byte atomic bitmap commit vs forced undo logging —
 //!   what eliminating duplicate-copy writes buys (contribution 1);
-//! * `locality`: contiguous vs strided group layout — what contiguity of
-//!   the collision-resolution cells buys (contribution 2);
-//! * `count`: persistent vs DRAM-rebuilt `count` — the cost of the
-//!   paper's per-op count flush.
+//! * `choice`: one hash function vs the §4.4 two-choice extension —
+//!   what a second candidate slot and group costs per operation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gh_bench::{fresh_keys, BENCH_NVM_NS};
-use group_hash::{ChoiceMode, CommitStrategy, CountMode, GroupHash, GroupHashConfig, ProbeLayout};
+use group_hash::{ChoiceMode, CommitStrategy, GroupHash, GroupHashConfig};
 use nvm_pmem::{RealPmem, Region};
 use nvm_table::InsertError;
 use nvm_traces::{RandomNum, Trace};
@@ -80,17 +78,6 @@ fn ablation_commit(c: &mut Criterion) {
     );
 }
 
-fn ablation_locality(c: &mut Criterion) {
-    let base = GroupHashConfig::new(CELLS_PER_LEVEL, 256).with_seed(SEED);
-    bench_variant(c, "ablation/locality", "contiguous", base);
-    bench_variant(
-        c,
-        "ablation/locality",
-        "strided",
-        base.with_probe(ProbeLayout::Strided),
-    );
-}
-
 fn ablation_choice(c: &mut Criterion) {
     let base = GroupHashConfig::new(CELLS_PER_LEVEL, 256).with_seed(SEED);
     bench_variant(c, "ablation/choice", "single_hash", base);
@@ -102,20 +89,9 @@ fn ablation_choice(c: &mut Criterion) {
     );
 }
 
-fn ablation_count(c: &mut Criterion) {
-    let base = GroupHashConfig::new(CELLS_PER_LEVEL, 256).with_seed(SEED);
-    bench_variant(c, "ablation/count", "persistent", base);
-    bench_variant(
-        c,
-        "ablation/count",
-        "volatile",
-        base.with_count_mode(CountMode::Volatile),
-    );
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = ablation_commit, ablation_locality, ablation_count, ablation_choice
+    targets = ablation_commit, ablation_choice
 }
 criterion_main!(benches);

@@ -182,7 +182,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 mod tests {
     use super::*;
     use crate::config::GroupHashConfig;
-    use crate::testutil::{make, make_cfg};
+    use crate::testutil::make;
     use nvm_pmem::{CrashResolution, Pmem, Region, SimConfig, SimPmem};
     use nvm_table::HashScheme;
 
@@ -291,20 +291,5 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn strided_layout_bulk_load() {
-        use crate::config::ProbeLayout;
-        let cfg = GroupHashConfig::new(256, 16).with_probe(ProbeLayout::Strided);
-        let (mut pm, mut t, _) = make_cfg(cfg);
-        let r = t.bulk_load(&mut pm, (0..200u64).map(|k| (k, k)));
-        assert!(r.loaded >= 190, "{r:?}");
-        for k in 0..200u64 {
-            if t.get(&pm, &k).is_some() {
-                assert_eq!(t.get(&pm, &k), Some(k));
-            }
-        }
-        t.check_consistency(&pm).unwrap();
     }
 }

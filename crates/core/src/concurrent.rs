@@ -41,7 +41,7 @@
 use crate::config::GroupHashConfig;
 use crate::table::{GroupHash, GroupReadView};
 use nvm_hashfn::{HashKey, Pod, SplitMix64};
-use nvm_metrics::{ConcurrencyCounters, ConcurrencySnapshot, SchemeInstrumentation};
+use nvm_metrics::{ConcurrencyCounters, ConcurrencySnapshot};
 use nvm_pmem::{Pmem, Region};
 use nvm_table::{
     migrate_recover_split, migrate_step, BatchError, HashScheme, InsertError, MigrationSource,
@@ -675,28 +675,6 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
             }
             self.publish_views(i, inner);
         }
-    }
-
-    /// Probe/occupancy/displacement histograms aggregated across all
-    /// shards (draining sources included) — an owned snapshot merged
-    /// under each shard's latch, so it is internally consistent per shard
-    /// but only globally consistent when quiescent. Always `Some`: every
-    /// shard table records.
-    pub fn instrumentation(&self) -> Option<SchemeInstrumentation> {
-        let mut agg: Option<SchemeInstrumentation> = None;
-        for i in 0..self.shards.len() {
-            let g = self.lock_shard(i);
-            let tables = [Some(&g.table), g.draining.as_ref().map(|d| &d.table)];
-            for t in tables.into_iter().flatten() {
-                if let Some(instr) = HashScheme::instrumentation(t) {
-                    let a = agg.get_or_insert_with(|| {
-                        SchemeInstrumentation::new(g.table.config().group_size as usize)
-                    });
-                    a.merge(instr);
-                }
-            }
-        }
-        agg
     }
 
     /// Checks consistency of every shard (draining sources included); the

@@ -1,4 +1,9 @@
-//! Construction parameters and ablation knobs for [`GroupHash`].
+//! Construction parameters and knobs for [`GroupHash`].
+//!
+//! Every group table runs the paper's one layout (a group's level-2
+//! cells are contiguous) and its one persistent `count`; the knobs here
+//! select the commit strategy, the two-choice extension and the
+//! fingerprint cache.
 //!
 //! [`GroupHash`]: crate::GroupHash
 
@@ -16,13 +21,6 @@ pub enum CommitStrategy {
     UndoLog,
 }
 
-/// Physical placement of a group's collision-resolution cells.
-///
-/// Defined in the shared probe-plan layer ([`nvm_table::probe`]) so the
-/// pure [`GroupPlan`](nvm_table::probe::GroupPlan) iterators and this
-/// crate's config agree on the geometry; re-exported here unchanged.
-pub use nvm_table::probe::ProbeLayout;
-
 /// How many hash functions address level 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChoiceMode {
@@ -35,20 +33,6 @@ pub enum ChoiceMode {
     /// raising utilization at the cost of probing two scattered regions
     /// ("the continuity of the collision resolution cells is damaged").
     TwoChoice,
-}
-
-/// Where the global `count` lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountMode {
-    /// The paper's design: `count` is persistent and updated with
-    /// `AtomicInc + Persist` on every insert/delete (one extra flush per
-    /// operation); recovery repairs at most one lost update.
-    #[default]
-    Persistent,
-    /// Ablation: `count` is DRAM-resident and rebuilt from the bitmaps on
-    /// open/recovery, trading one flush per update for a full-table scan
-    /// at recovery (which Algorithm 4 performs anyway).
-    Volatile,
 }
 
 /// Whether the table keeps a DRAM-resident fingerprint cache.
@@ -77,10 +61,6 @@ pub struct GroupHashConfig {
     pub seed: u64,
     /// How an insert's commit point is persisted (bitmap word vs cell).
     pub commit: CommitStrategy,
-    /// How a group's cells are laid out for the level-2 scan.
-    pub probe: ProbeLayout,
-    /// Where the live-entry count lives (persisted vs recomputed).
-    pub count_mode: CountMode,
     /// How many level-1 candidate slots a key gets (one vs two hashes).
     pub choice: ChoiceMode,
     /// Whether the volatile fingerprint (tag) cache filters probes.
@@ -95,8 +75,6 @@ impl GroupHashConfig {
             group_size,
             seed: 0x6772_6F75_7068_6173, // "grouphas"
             commit: CommitStrategy::default(),
-            probe: ProbeLayout::default(),
-            count_mode: CountMode::default(),
             choice: ChoiceMode::default(),
             fp: FpMode::default(),
         }
@@ -134,18 +112,6 @@ impl GroupHashConfig {
     /// Overrides the commit strategy (ablation).
     pub fn with_commit(mut self, commit: CommitStrategy) -> Self {
         self.commit = commit;
-        self
-    }
-
-    /// Overrides the probe layout (ablation).
-    pub fn with_probe(mut self, probe: ProbeLayout) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Overrides the count mode (ablation).
-    pub fn with_count_mode(mut self, count_mode: CountMode) -> Self {
-        self.count_mode = count_mode;
         self
     }
 
@@ -199,62 +165,64 @@ impl GroupHashConfig {
         self.cells_per_level / self.group_size
     }
 
-    /// Packs the ablation knobs into a persisted flags word.
+    /// Packs the knobs into a persisted flags word. The bit numbers are
+    /// part of the pool format: bits 2 and 4 belonged to two removed
+    /// knobs and stay unassigned.
     pub(crate) fn flags(&self) -> u64 {
         let mut f = 0u64;
         if self.commit == CommitStrategy::UndoLog {
-            f |= 1;
-        }
-        if self.probe == ProbeLayout::Strided {
-            f |= 2;
-        }
-        if self.count_mode == CountMode::Volatile {
-            f |= 4;
+            f |= FLAG_UNDO_LOG;
         }
         if self.choice == ChoiceMode::TwoChoice {
-            f |= 8;
+            f |= FLAG_TWO_CHOICE;
         }
         if self.fp == FpMode::On {
-            f |= 16;
+            f |= FLAG_FP;
         }
         f
     }
 
-    /// Inverse of [`GroupHashConfig::flags`].
+    /// Inverse of [`GroupHashConfig::flags`]. A flags word with any bit
+    /// outside the three knobs is refused as corrupt rather than opened
+    /// as some other configuration.
     pub(crate) fn from_persisted(
         cells_per_level: u64,
         group_size: u64,
         seed: u64,
         flags: u64,
-    ) -> Self {
-        GroupHashConfig {
+    ) -> Result<Self, TableError> {
+        let unknown = flags & !(FLAG_UNDO_LOG | FLAG_TWO_CHOICE | FLAG_FP);
+        if unknown != 0 {
+            return Err(TableError::Corrupt(format!(
+                "group table flags {flags:#x} carry unknown bits {unknown:#x} \
+                 (bits 2 and 4 were the removed strided-layout and volatile-count knobs)"
+            )));
+        }
+        Ok(GroupHashConfig {
             cells_per_level,
             group_size,
             seed,
-            commit: if flags & 1 != 0 {
+            commit: if flags & FLAG_UNDO_LOG != 0 {
                 CommitStrategy::UndoLog
             } else {
                 CommitStrategy::AtomicBitmap
             },
-            probe: if flags & 2 != 0 {
-                ProbeLayout::Strided
-            } else {
-                ProbeLayout::Contiguous
-            },
-            count_mode: if flags & 4 != 0 {
-                CountMode::Volatile
-            } else {
-                CountMode::Persistent
-            },
-            choice: if flags & 8 != 0 {
+            choice: if flags & FLAG_TWO_CHOICE != 0 {
                 ChoiceMode::TwoChoice
             } else {
                 ChoiceMode::Single
             },
-            fp: if flags & 16 != 0 { FpMode::On } else { FpMode::Off },
-        }
+            fp: if flags & FLAG_FP != 0 { FpMode::On } else { FpMode::Off },
+        })
     }
 }
+
+/// Persisted flag bit of [`CommitStrategy::UndoLog`].
+const FLAG_UNDO_LOG: u64 = 1;
+/// Persisted flag bit of [`ChoiceMode::TwoChoice`].
+const FLAG_TWO_CHOICE: u64 = 8;
+/// Persisted flag bit of [`FpMode::On`].
+const FLAG_FP: u64 = 16;
 
 #[cfg(test)]
 mod tests {
@@ -302,21 +270,15 @@ mod tests {
     #[test]
     fn flags_roundtrip() {
         for commit in [CommitStrategy::AtomicBitmap, CommitStrategy::UndoLog] {
-            for probe in [ProbeLayout::Contiguous, ProbeLayout::Strided] {
-                for cm in [CountMode::Persistent, CountMode::Volatile] {
-                    for ch in [ChoiceMode::Single, ChoiceMode::TwoChoice] {
-                        for fp in [FpMode::Off, FpMode::On] {
-                            let c = GroupHashConfig::new(256, 16)
-                                .with_commit(commit)
-                                .with_probe(probe)
-                                .with_count_mode(cm)
-                                .with_choice(ch)
-                                .with_fp_mode(fp)
-                                .with_seed(99);
-                            let r = GroupHashConfig::from_persisted(256, 16, 99, c.flags());
-                            assert_eq!(c, r);
-                        }
-                    }
+            for ch in [ChoiceMode::Single, ChoiceMode::TwoChoice] {
+                for fp in [FpMode::Off, FpMode::On] {
+                    let c = GroupHashConfig::new(256, 16)
+                        .with_commit(commit)
+                        .with_choice(ch)
+                        .with_fp_mode(fp)
+                        .with_seed(99);
+                    let r = GroupHashConfig::from_persisted(256, 16, 99, c.flags()).unwrap();
+                    assert_eq!(c, r);
                 }
             }
         }

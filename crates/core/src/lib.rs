@@ -78,7 +78,7 @@ pub(crate) mod testutil;
 pub use analysis::{GroupFill, TableAnalysis};
 pub use bulk::BulkLoadReport;
 pub use concurrent::ShardedGroupHash;
-pub use config::{ChoiceMode, CommitStrategy, CountMode, FpMode, GroupHashConfig, ProbeLayout};
+pub use config::{ChoiceMode, CommitStrategy, FpMode, GroupHashConfig};
 pub use table::{GroupHash, GroupReadView};
 
 // Re-exported so downstream users need only this crate for the common case.

@@ -19,7 +19,7 @@ mod tests;
 
 pub use readview::GroupReadView;
 
-use crate::config::{CommitStrategy, CountMode, FpMode, GroupHashConfig};
+use crate::config::{CommitStrategy, FpMode, GroupHashConfig};
 use crate::fpcache::FpCache;
 use nvm_hashfn::{HashKey, HashPair, Pod};
 use nvm_metrics::SchemeInstrumentation;
@@ -30,7 +30,6 @@ use nvm_table::{
     PmemBitmap, TableError, TableHeader,
 };
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic word identifying a group-hash header ("GRPHASH1").
 const MAGIC: u64 = 0x4752_5048_4153_4831;
@@ -81,9 +80,6 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
     /// The one place [`ConsistencyMode`] applies: a no-op under the
     /// paper's atomic-bitmap commit, an undo log under the ablation.
     journal: Journal,
-    /// Cached count for [`CountMode::Volatile`]. Written only under
-    /// `&mut self` (relaxed load + store, never a read-modify-write).
-    volatile_count: AtomicU64,
     /// DRAM-resident fingerprint tags for [`FpMode::On`]; never persisted,
     /// rebuilt from bitmaps + cells on `open`/`recover`.
     fp: Option<FpCache>,
@@ -132,7 +128,6 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             store1: CellStore::attach(b1, c1, n),
             store2: CellStore::attach(b2, c2, n),
             journal: Journal::open(consistency_of(config.commit), log_r),
-            volatile_count: AtomicU64::new(0),
             fp: (config.fp == FpMode::On).then(|| FpCache::new(n)),
             instr: SchemeInstrumentation::new(config.group_size as usize),
             region,
@@ -244,7 +239,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             });
         }
         let seed = header.seed(pm);
-        let config = GroupHashConfig::from_persisted(n, group_size, seed, flags);
+        let config = GroupHashConfig::from_persisted(n, group_size, seed, flags)?;
         config.validate()?;
         if region.len < Self::required_size(&config) {
             return Err(TableError::Corrupt(
@@ -252,10 +247,6 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             ));
         }
         let mut t = Self::assemble(region, config, header);
-        if t.config.count_mode == CountMode::Volatile {
-            t.volatile_count
-                .store(t.store1.occupied(pm) + t.store2.occupied(pm), Ordering::Relaxed);
-        }
         t.rebuild_fp_cache(pm);
         Ok(t)
     }
@@ -304,13 +295,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         self.plan().group_of_slot(k)
     }
 
-    /// The `i`-th level-2 cell of group `g` under the configured layout.
-    #[inline]
-    fn group_cell(&self, g: u64, i: u64) -> u64 {
-        self.plan().cell(g, i)
-    }
-
-    /// Group that owns level-2 cell `idx` (inverse of `group_cell`).
+    /// Group that owns level-2 cell `idx`.
     #[inline]
     fn group_of_l2(&self, idx: u64) -> u64 {
         self.plan().group_of_cell(idx)
@@ -326,10 +311,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// Occupied cells.
     pub fn len(&self, pm: &P) -> u64 {
-        match self.config.count_mode {
-            CountMode::Persistent => self.header.count(pm),
-            CountMode::Volatile => self.volatile_count.load(Ordering::Relaxed),
-        }
+        self.header.count(pm)
     }
 
     /// True when no cell is occupied.

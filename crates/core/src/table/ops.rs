@@ -7,71 +7,38 @@
 //! through the commit choreography in `store.rs`.
 
 use super::{GroupHash, Level};
-use crate::config::{CountMode, ProbeLayout};
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::{Pmem, PmemRead};
 use nvm_table::probe::{match_bits, Selection};
 use nvm_table::{BatchError, BatchSession, InsertError};
 
 impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
-    /// Finds an empty level-2 cell in group `g`, honouring the probe
-    /// layout; cells claimed by a staged publish in `sess` count as
-    /// occupied. Also returns how many cells were examined: the offset of
-    /// the free cell plus one, or the whole group on a miss (every cell
-    /// examined before the free one is occupied, which is what the
-    /// occupancy histogram records).
-    fn find_free_in_group(
-        &self,
-        pm: &P,
-        sess: &BatchSession<K, V>,
-        g: u64,
-    ) -> (Option<u64>, u64) {
-        match self.config.probe {
-            ProbeLayout::Contiguous => {
-                let start = g * self.config.group_size;
-                let end = start + self.config.group_size;
-                let mut cur = start;
-                while cur < end {
-                    match self.store2.bitmap.find_zero_in_range(pm, cur, end - cur) {
-                        Some(idx) if sess.is_claimed(&self.store2, idx) => cur = idx + 1,
-                        Some(idx) => return (Some(idx), idx - start + 1),
-                        None => break,
-                    }
-                }
-                (None, self.config.group_size)
-            }
-            ProbeLayout::Strided => {
-                // The stride is `n_groups`, so consecutive probe steps
-                // often land in the same 64-bit word; hoist the word read
-                // like the contiguous path instead of one `get` per cell.
-                let mut cached: Option<(u64, u64)> = None; // (word_base, word)
-                for i in 0..self.config.group_size {
-                    let idx = self.group_cell(g, i);
-                    let word_base = idx & !63;
-                    let word = match cached {
-                        Some((b, w)) if b == word_base => w,
-                        _ => {
-                            let w = self.store2.bitmap.word_containing(pm, idx);
-                            cached = Some((word_base, w));
-                            w
-                        }
-                    };
-                    if word >> (idx % 64) & 1 == 0 && !sess.is_claimed(&self.store2, idx) {
-                        return (Some(idx), i + 1);
-                    }
-                }
-                (None, self.config.group_size)
+    /// Finds an empty level-2 cell in group `g`; cells claimed by a
+    /// staged publish in `sess` count as occupied. Also returns how many
+    /// cells were examined: the offset of the free cell plus one, or the
+    /// whole group on a miss (every cell examined before the free one is
+    /// occupied, which is what the occupancy histogram records).
+    fn find_free_in_group(&self, pm: &P, sess: &BatchSession<K, V>, g: u64) -> (Option<u64>, u64) {
+        let start = g * self.config.group_size;
+        let end = start + self.config.group_size;
+        let mut cur = start;
+        while cur < end {
+            match self.store2.bitmap.find_zero_in_range(pm, cur, end - cur) {
+                Some(idx) if sess.is_claimed(&self.store2, idx) => cur = idx + 1,
+                Some(idx) => return (Some(idx), idx - start + 1),
+                None => break,
             }
         }
+        (None, self.config.group_size)
     }
 
     /// Scans group `g`'s level-2 cells for `key`; returns the cell index.
     ///
-    /// In the contiguous layout the scan is word-wise: one bitmap read
-    /// covers 64 cells, and the occupied cells are then compared in
-    /// ascending address order — an access pattern the hardware stream
-    /// prefetcher locks onto (the mechanism behind the paper's
-    /// "a single memory access can prefetch the following cells").
+    /// The scan is word-wise: one bitmap read covers 64 cells, and the
+    /// occupied cells are then compared in ascending address order — an
+    /// access pattern the hardware stream prefetcher locks onto (the
+    /// mechanism behind the paper's "a single memory access can prefetch
+    /// the following cells").
     ///
     /// `tag` is `Some` exactly under `FpMode::On`: the scan then goes
     /// *tag-first* — eight cached tags load as one word, a SWAR compare
@@ -92,115 +59,69 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         tag: Option<u8>,
     ) -> (Option<u64>, u64) {
         let mut examined = 0u64;
-        match self.config.probe {
-            ProbeLayout::Contiguous => {
-                let start = g * self.config.group_size;
-                let end = start + self.config.group_size;
-                let mut base = start;
-                while base < end {
-                    let mut word = self.store2.bitmap.word_containing(pm, base);
-                    // Mask off bits outside [start, end) within this word
-                    // (only relevant for groups smaller than 64).
-                    let lo = base % 64;
-                    if lo != 0 {
-                        word &= u64::MAX << lo;
-                    }
-                    let word_base = base - lo;
-                    let span = (end - word_base).min(64);
-                    if span < 64 {
-                        word &= (1u64 << span) - 1;
-                    }
-                    match tag {
-                        Some(tag) => {
-                            let fp = self.fp.as_ref().expect("tag implies cache");
-                            // Tag-first: 8 cells (one tag word) at a time.
-                            let mut sub = 0u64;
-                            while sub < 64 {
-                                let occ = word >> sub & 0xFF;
-                                if occ != 0 {
-                                    let tags = fp.word(Level::Two.idx(), word_base + sub);
-                                    let cand = match_bits(tags, tag) & occ;
-                                    let mut c = cand;
-                                    while c != 0 {
-                                        let bit = c.trailing_zeros() as u64;
-                                        let idx = word_base + sub + bit;
-                                        self.note_key_reads(1);
-                                        if self.store2.cells.read_key(pm, idx) == *key {
-                                            let below = (1u64 << bit) - 1;
-                                            examined +=
-                                                u64::from((occ & (below | 1 << bit)).count_ones());
-                                            let skipped = (occ & !cand & below).count_ones();
-                                            self.note_fp(u64::from(skipped), 0, 1);
-                                            return (Some(idx), examined);
-                                        }
-                                        self.note_fp(0, 1, 0);
-                                        c &= c - 1;
-                                    }
-                                    examined += u64::from(occ.count_ones());
-                                    self.note_fp(u64::from((occ & !cand).count_ones()), 0, 0);
-                                }
-                                sub += 8;
-                            }
-                        }
-                        None => {
-                            while word != 0 {
-                                let bit = word.trailing_zeros() as u64;
-                                let idx = word_base + bit;
-                                examined += 1;
+        let start = g * self.config.group_size;
+        let end = start + self.config.group_size;
+        let mut base = start;
+        while base < end {
+            let mut word = self.store2.bitmap.word_containing(pm, base);
+            // Mask off bits outside [start, end) within this word
+            // (only relevant for groups smaller than 64).
+            let lo = base % 64;
+            if lo != 0 {
+                word &= u64::MAX << lo;
+            }
+            let word_base = base - lo;
+            let span = (end - word_base).min(64);
+            if span < 64 {
+                word &= (1u64 << span) - 1;
+            }
+            match tag {
+                Some(tag) => {
+                    let fp = self.fp.as_ref().expect("tag implies cache");
+                    // Tag-first: 8 cells (one tag word) at a time.
+                    let mut sub = 0u64;
+                    while sub < 64 {
+                        let occ = word >> sub & 0xFF;
+                        if occ != 0 {
+                            let tags = fp.word(Level::Two.idx(), word_base + sub);
+                            let cand = match_bits(tags, tag) & occ;
+                            let mut c = cand;
+                            while c != 0 {
+                                let bit = c.trailing_zeros() as u64;
+                                let idx = word_base + sub + bit;
                                 self.note_key_reads(1);
                                 if self.store2.cells.read_key(pm, idx) == *key {
+                                    let below = (1u64 << bit) - 1;
+                                    examined += u64::from((occ & (below | 1 << bit)).count_ones());
+                                    let skipped = (occ & !cand & below).count_ones();
+                                    self.note_fp(u64::from(skipped), 0, 1);
                                     return (Some(idx), examined);
                                 }
-                                word &= word - 1;
+                                self.note_fp(0, 1, 0);
+                                c &= c - 1;
                             }
+                            examined += u64::from(occ.count_ones());
+                            self.note_fp(u64::from((occ & !cand).count_ones()), 0, 0);
                         }
-                    }
-                    base = word_base + 64;
-                }
-                (None, examined)
-            }
-            ProbeLayout::Strided => {
-                // Hoisted occupancy-word reads (stride = n_groups, so
-                // consecutive steps often share a word); per-cell tag
-                // checks — strided tags are not adjacent in the cache, so
-                // there is no word to load.
-                let mut cached: Option<(u64, u64)> = None;
-                for i in 0..self.config.group_size {
-                    let idx = self.group_cell(g, i);
-                    let word_base = idx & !63;
-                    let word = match cached {
-                        Some((b, w)) if b == word_base => w,
-                        _ => {
-                            let w = self.store2.bitmap.word_containing(pm, idx);
-                            cached = Some((word_base, w));
-                            w
-                        }
-                    };
-                    if word >> (idx % 64) & 1 == 0 {
-                        continue;
-                    }
-                    examined += 1;
-                    if let Some(tag) = tag {
-                        let fp = self.fp.as_ref().expect("tag implies cache");
-                        if fp.get(Level::Two.idx(), idx) != tag {
-                            self.note_fp(1, 0, 0);
-                            continue;
-                        }
-                    }
-                    self.note_key_reads(1);
-                    if self.store2.cells.read_key(pm, idx) == *key {
-                        if tag.is_some() {
-                            self.note_fp(0, 0, 1);
-                        }
-                        return (Some(idx), examined);
-                    }
-                    if tag.is_some() {
-                        self.note_fp(0, 1, 0);
+                        sub += 8;
                     }
                 }
-                (None, examined)
+                None => {
+                    while word != 0 {
+                        let bit = word.trailing_zeros() as u64;
+                        let idx = word_base + bit;
+                        examined += 1;
+                        self.note_key_reads(1);
+                        if self.store2.cells.read_key(pm, idx) == *key {
+                            return (Some(idx), examined);
+                        }
+                        word &= word - 1;
+                    }
+                }
             }
+            base = word_base + 64;
         }
+        (None, examined)
     }
 
     /// Candidate level-1 slots for `key`, primary first.
@@ -286,11 +207,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         let base = pm.stats();
         let per_op = [self.store1.cells.entry_len(), 8];
-        let fixed: &[usize] = match self.config.count_mode {
-            CountMode::Persistent => &[8],
-            CountMode::Volatile => &[],
-        };
-        let chunk_cap = self.journal.ops_per_txn(&per_op, fixed);
+        let chunk_cap = self.journal.ops_per_txn(&per_op, &[8]);
         let mut sess = BatchSession::new();
         let mut committed = 0usize;
         let mut failure = None;
@@ -339,14 +256,12 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// 3. resolve all level-1 probes against the now-warm lines; keys
     ///    still unresolved survive into a [`Selection`] vector;
     /// 4. prefetch the matched groups' occupancy words for the survivors,
-    ///    then (contiguous layout) the candidate cells those words + the
-    ///    DRAM tag cache select;
+    ///    then the candidate cells those words + the DRAM tag cache
+    ///    select;
     /// 5. run the group scans — every line they touch was prefetched.
     ///
     /// Like `get`, this is a pure read: zero flushes, zero fences, zero
-    /// (atomic) writes. The strided ablation layout skips the group
-    /// prefetches (its cells share no lines — there is nothing coherent
-    /// to fetch ahead), keeping the comparison honest.
+    /// (atomic) writes.
     pub fn get_batch(&self, pm: &P, keys: &[K]) -> Vec<Option<V>> {
         let mut out: Vec<Option<V>> = vec![None; keys.len()];
         if keys.is_empty() {
@@ -391,16 +306,14 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             sel.push(i as u32);
         }
         // Phase 4: warm the survivors' groups before scanning any of them.
-        if self.config.probe == ProbeLayout::Contiguous {
-            for &i in sel.indices() {
-                let (k1, k2) = slots[i as usize];
-                let g1 = self.group_of(k1);
-                self.prefetch_group(pm, g1, tagging.then(|| tags[i as usize]));
-                if let Some(k2) = k2 {
-                    let g2 = self.group_of(k2);
-                    if g2 != g1 {
-                        self.prefetch_group(pm, g2, tagging.then(|| tags[i as usize]));
-                    }
+        for &i in sel.indices() {
+            let (k1, k2) = slots[i as usize];
+            let g1 = self.group_of(k1);
+            self.prefetch_group(pm, g1, tagging.then(|| tags[i as usize]));
+            if let Some(k2) = k2 {
+                let g2 = self.group_of(k2);
+                if g2 != g1 {
+                    self.prefetch_group(pm, g2, tagging.then(|| tags[i as usize]));
                 }
             }
         }
@@ -625,11 +538,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         let base = pm.stats();
         let per_op = [8, self.store1.cells.entry_len()];
-        let fixed: &[usize] = match self.config.count_mode {
-            CountMode::Persistent => &[8],
-            CountMode::Volatile => &[],
-        };
-        let chunk_cap = self.journal.ops_per_txn(&per_op, fixed);
+        let chunk_cap = self.journal.ops_per_txn(&per_op, &[8]);
         let mut sess = BatchSession::new();
         let mut removed = 0usize;
         for key in keys {

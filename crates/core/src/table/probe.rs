@@ -13,7 +13,7 @@ use nvm_table::probe::GroupPlan;
 /// The level-2 group geometry implied by `config`.
 #[inline]
 pub(super) fn plan(config: &GroupHashConfig) -> GroupPlan {
-    GroupPlan::new(config.group_size, config.n_groups(), config.probe)
+    GroupPlan::new(config.group_size, config.n_groups())
 }
 
 /// Level-1 slot for `key` (the paper's `k = h(key)`).
@@ -61,7 +61,6 @@ pub(super) fn candidate_slots<K: HashKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvm_table::probe::ProbeLayout;
 
     #[test]
     fn plan_mirrors_config_geometry() {
@@ -69,12 +68,8 @@ mod tests {
         let p = plan(&cfg);
         assert_eq!(p.cells_per_level(), 256);
         assert_eq!(p.n_groups(), 16);
-        assert_eq!(p.layout(), ProbeLayout::Contiguous);
-        let strided = plan(&cfg.with_probe(ProbeLayout::Strided));
-        assert_eq!(strided.layout(), ProbeLayout::Strided);
-        // Same partition either way (the ablation's invariant).
         assert_eq!(p.group_of_cell(17), 1);
-        assert_eq!(strided.cell(1, 0), 1);
+        assert_eq!(p.cell(1, 0), 16);
     }
 
     #[test]

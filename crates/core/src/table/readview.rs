@@ -27,7 +27,7 @@
 //! already overwriting.
 
 use super::probe;
-use crate::config::{GroupHashConfig, ProbeLayout};
+use crate::config::GroupHashConfig;
 use nvm_hashfn::{HashKey, HashPair, Pod};
 use nvm_pmem::PmemRead;
 use nvm_table::probe::{GroupPlan, Selection};
@@ -183,18 +183,15 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
             }
             sel.push(i as u32);
         }
-        // Warm the survivors' groups (contiguous layout only — strided
-        // cells share no lines, so there is nothing coherent to fetch).
-        if self.config.probe == ProbeLayout::Contiguous {
-            for &i in sel.indices() {
-                let (k1, k2) = slots[i as usize];
-                let g1 = plan.group_of_slot(k1);
-                self.prefetch_group(pm, g1);
-                if let Some(k2) = k2 {
-                    let g2 = plan.group_of_slot(k2);
-                    if g2 != g1 {
-                        self.prefetch_group(pm, g2);
-                    }
+        // Warm the survivors' groups.
+        for &i in sel.indices() {
+            let (k1, k2) = slots[i as usize];
+            let g1 = plan.group_of_slot(k1);
+            self.prefetch_group(pm, g1);
+            if let Some(k2) = k2 {
+                let g2 = plan.group_of_slot(k2);
+                if g2 != g1 {
+                    self.prefetch_group(pm, g2);
                 }
             }
         }
@@ -270,11 +267,10 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
         (store.is_occupied(pm, idx) && store.read_key(pm, idx) == *key).then_some(v)
     }
 
-    /// Scans group `g`'s level-2 cells for `key` under the configured
-    /// probe layout (the `plan.cell` indirection covers both contiguous
-    /// and strided) and returns the revalidated value on a hit. A cell
-    /// that matches but fails revalidation is skipped — the remover won;
-    /// the rest of the group still gets scanned.
+    /// Scans group `g`'s level-2 cells for `key` and returns the
+    /// revalidated value on a hit. A cell that matches but fails
+    /// revalidation is skipped — the remover won; the rest of the group
+    /// still gets scanned.
     fn find_in_group<R: PmemRead>(
         &self,
         pm: &R,

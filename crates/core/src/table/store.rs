@@ -16,7 +16,6 @@
 //! when a commit changes a cell, and never cost a pool write.
 
 use super::{GroupHash, Level};
-use crate::config::CountMode;
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::Pmem;
 use nvm_table::{BatchSession, TableError};
@@ -25,12 +24,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// Sets the count to an absolute value with the usual atomic+persist
     /// commit (bulk operations).
     pub(crate) fn set_count_committed(&mut self, pm: &mut P, count: u64) {
-        match self.config.count_mode {
-            CountMode::Persistent => self.header.set_count(pm, count),
-            CountMode::Volatile => {
-                self.volatile_count.store(count, std::sync::atomic::Ordering::Relaxed)
-            }
-        }
+        self.header.set_count(pm, count)
     }
 
     /// Stages an insert at `(level, idx)` into `sess`: opens the journal
@@ -77,31 +71,19 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
     }
 
-    /// Group-commits a staged session and moves the count by `delta`
-    /// (publishes minus retracts). A persistent count rides the session's
-    /// commit (pre-imaged under the ablation); a volatile one is adjusted
-    /// after. A one-op session reproduces the paper's single-op trace —
-    /// Algorithm 1/3 lines 4–9 / 16–21 — event for event.
+    /// Group-commits a staged session and moves the persistent count by
+    /// `delta` (publishes minus retracts); the count rides the session's
+    /// commit (pre-imaged under the ablation). A one-op session reproduces
+    /// the paper's single-op trace — Algorithm 1/3 lines 4–9 / 16–21 —
+    /// event for event.
     pub(super) fn commit_batch(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>, delta: i64) {
         debug_assert!(!sess.is_empty(), "empty sessions must skip commit");
-        let count = match self.config.count_mode {
-            CountMode::Persistent => {
-                let v = self.header.count(pm);
-                let v = v.checked_add_signed(delta).expect("count out of range");
-                Some((self.header.count_off(), v))
-            }
-            CountMode::Volatile => None,
-        };
-        sess.commit(pm, &mut self.journal, count);
-        if self.config.count_mode == CountMode::Volatile {
-            use std::sync::atomic::Ordering;
-            let v = self
-                .volatile_count
-                .load(Ordering::Relaxed)
-                .checked_add_signed(delta)
-                .expect("count out of range");
-            self.volatile_count.store(v, Ordering::Relaxed);
-        }
+        let count = self
+            .header
+            .count(pm)
+            .checked_add_signed(delta)
+            .expect("count out of range");
+        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
     }
 
     /// Rebuilds the fingerprint cache from the bitmaps + cells (the only

@@ -2,7 +2,7 @@
 //! persistence-cost budgets the refactors must not disturb.
 
 use super::*;
-use crate::config::{ChoiceMode, ProbeLayout};
+use crate::config::ChoiceMode;
 use crate::testutil::{make, make_cfg};
 use nvm_pmem::{PmemRead, SimConfig, SimPmem};
 
@@ -178,24 +178,6 @@ fn wide_key_value_types() {
 }
 
 #[test]
-fn strided_layout_behaves_identically() {
-    let cfg = GroupHashConfig::new(256, 16).with_probe(ProbeLayout::Strided);
-    let (mut pm, mut t, _) = make_cfg(cfg);
-    for k in 0..180u64 {
-        t.insert(&mut pm, k, k).unwrap();
-    }
-    for k in 0..180u64 {
-        assert_eq!(t.get(&pm, &k), Some(k));
-    }
-    t.check_consistency(&pm).unwrap();
-    for k in 0..180u64 {
-        assert!(t.remove(&mut pm, &k));
-    }
-    assert_eq!(t.len(&pm), 0);
-    t.check_consistency(&pm).unwrap();
-}
-
-#[test]
 fn two_choice_behaves_identically() {
     let cfg = GroupHashConfig::new(256, 16).with_choice(ChoiceMode::TwoChoice);
     let (mut pm, mut t, region) = make_cfg(cfg);
@@ -215,6 +197,39 @@ fn two_choice_behaves_identically() {
     let t2 = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).unwrap();
     assert_eq!(t2.config().choice, ChoiceMode::TwoChoice);
     assert_eq!(t2.len(&pm), 100);
+}
+
+/// The persisted flags word holds exactly three knob bits (1 = undo log,
+/// 8 = two-choice, 16 = fingerprint cache). Any other bit, including the
+/// two removed knobs' bits 2 and 4, makes `open` refuse the pool instead
+/// of opening it as some other configuration.
+#[test]
+fn open_refuses_unknown_flag_bits() {
+    // The flags word is geometry slot 4 of the header (offset 56).
+    const FLAGS_OFF: usize = 56;
+    let knobs = GroupHashConfig::new(256, 16)
+        .with_choice(ChoiceMode::TwoChoice)
+        .with_fp_mode(FpMode::On)
+        .with_commit(CommitStrategy::UndoLog);
+    for cfg in [GroupHashConfig::new(256, 16), knobs] {
+        let (mut pm, mut t, region) = make_cfg(cfg);
+        for k in 0..100u64 {
+            t.insert(&mut pm, k, k + 1).unwrap();
+        }
+        assert_eq!(pm.read_u64(region.off + FLAGS_OFF), cfg.flags());
+        let t2 = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).unwrap();
+        assert_eq!(*t2.config(), cfg);
+        assert_eq!(t2.len(&pm), 100);
+        t2.check_consistency(&pm).unwrap();
+    }
+    for bad in [2u64, 4, 1 << 40] {
+        let (mut pm, _, region) = make(256, 16);
+        pm.write_u64(region.off + FLAGS_OFF, bad);
+        match GroupHash::<SimPmem, u64, u64>::open(&mut pm, region) {
+            Err(TableError::Corrupt(msg)) => assert!(msg.contains("removed"), "{msg}"),
+            other => panic!("flags {bad:#x}: {:?}", other.map(|t| *t.config())),
+        }
+    }
 }
 
 #[test]
@@ -257,37 +272,6 @@ fn logged_commit_behaves_identically() {
         assert_eq!(t.get(&pm, &k), Some(k + 5));
     }
     t.check_consistency(&pm).unwrap();
-}
-
-#[test]
-fn volatile_count_matches_persistent() {
-    let cfg_v = GroupHashConfig::new(256, 16).with_count_mode(CountMode::Volatile);
-    let (mut pm_v, mut tv, region) = make_cfg(cfg_v);
-    let (mut pm_p, mut tp, _) = make(256, 16);
-    for k in 0..120u64 {
-        tv.insert(&mut pm_v, k, k).unwrap();
-        tp.insert(&mut pm_p, k, k).unwrap();
-    }
-    for k in 0..40u64 {
-        tv.remove(&mut pm_v, &k);
-        tp.remove(&mut pm_p, &k);
-    }
-    assert_eq!(tv.len(&pm_v), tp.len(&pm_p));
-    // Volatile count is rebuilt on open.
-    let tv2 = GroupHash::<SimPmem, u64, u64>::open(&mut pm_v, region).unwrap();
-    assert_eq!(tv2.len(&pm_v), 80);
-}
-
-#[test]
-fn volatile_count_skips_header_flushes() {
-    let cfg_v = GroupHashConfig::new(256, 16).with_count_mode(CountMode::Volatile);
-    let (mut pm_v, mut tv, _) = make_cfg(cfg_v);
-    let (mut pm_p, mut tp, _) = make(256, 16);
-    pm_v.reset_stats();
-    pm_p.reset_stats();
-    tv.insert(&mut pm_v, 1, 1).unwrap();
-    tp.insert(&mut pm_p, 1, 1).unwrap();
-    assert!(pm_v.stats().flushes < pm_p.stats().flushes);
 }
 
 #[test]
@@ -349,28 +333,6 @@ fn fingerprint_matches_off_mode_state() {
         "unexpected NVM divergence at offsets {:?}",
         &diff[..diff.len().min(8)]
     );
-}
-
-#[test]
-fn fingerprint_strided_roundtrip() {
-    let cfg = GroupHashConfig::new(256, 16)
-        .with_probe(ProbeLayout::Strided)
-        .with_fp_mode(FpMode::On);
-    let (mut pm, mut t, _) = make_cfg(cfg);
-    for k in 0..180u64 {
-        t.insert(&mut pm, k, k).unwrap();
-    }
-    for k in 0..180u64 {
-        assert_eq!(t.get(&pm, &k), Some(k));
-    }
-    for k in 180..360u64 {
-        assert_eq!(t.get(&pm, &k), None);
-    }
-    t.check_consistency(&pm).unwrap();
-    for k in 0..180u64 {
-        assert!(t.remove(&mut pm, &k));
-    }
-    t.check_consistency(&pm).unwrap();
 }
 
 #[test]

@@ -241,15 +241,3 @@ fn two_choice_extension_is_also_crash_safe() {
     scan_step(cfg, &steps, 1);
     scan_step(cfg, &steps, 2);
 }
-
-#[test]
-fn strided_ablation_is_also_crash_safe() {
-    use group_hash::ProbeLayout;
-    let cfg = small_cfg().with_probe(ProbeLayout::Strided);
-    let (pm, t, _) = fresh(cfg);
-    let base_slot = t.slot_of(&3000);
-    let collider = (3001..).find(|k| t.slot_of(k) == base_slot).unwrap();
-    let _ = (t, pm);
-    let steps = [Step::Insert(3000, 1), Step::Insert(collider, 2)];
-    scan_step(cfg, &steps, 1);
-}

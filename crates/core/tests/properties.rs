@@ -1,8 +1,7 @@
 //! Property-based tests for group hashing.
 
 use group_hash::{
-    ChoiceMode, CommitStrategy, CountMode, FpMode, GroupHash, GroupHashConfig, HashScheme,
-    ProbeLayout, TableAnalysis,
+    ChoiceMode, CommitStrategy, FpMode, GroupHash, GroupHashConfig, HashScheme, TableAnalysis,
 };
 use nvm_pmem::{run_with_crash, CrashPlan, CrashResolution, Region, SimConfig, SimPmem};
 use proptest::prelude::*;
@@ -39,15 +38,10 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
 fn all_configs() -> Vec<GroupHashConfig> {
     vec![
         GroupHashConfig::new(128, 16),
-        GroupHashConfig::new(128, 16).with_probe(ProbeLayout::Strided),
         GroupHashConfig::new(128, 16).with_commit(CommitStrategy::UndoLog),
-        GroupHashConfig::new(128, 16).with_count_mode(CountMode::Volatile),
         GroupHashConfig::new(128, 16).with_choice(ChoiceMode::TwoChoice),
         GroupHashConfig::new(128, 128),
         GroupHashConfig::new(128, 16).with_fp_mode(FpMode::On),
-        GroupHashConfig::new(128, 16)
-            .with_probe(ProbeLayout::Strided)
-            .with_fp_mode(FpMode::On),
     ]
 }
 

@@ -10,8 +10,8 @@
 //! One plan per scheme family:
 //!
 //! * [`GroupPlan`] — the paper's two-level group sharing: a level-1 slot
-//!   maps to a level-2 *group* of `group_size` cells, laid out contiguously
-//!   or strided (the ablation of observation 2).
+//!   maps to a level-2 *group* of `group_size` contiguous cells, so a
+//!   collision scan walks adjacent cachelines (the paper's observation 2).
 //! * [`LinearPlan`] — classic linear probing over a power-of-two array.
 //! * [`PfhtPlan`] — PFHT's two 4-cell buckets plus a linear stash.
 //! * [`PathPlan`] — path hashing's binary-tree descent from two leaves.
@@ -20,38 +20,22 @@
 //! pure bit-twiddling over a tag word and belongs with the planning logic
 //! that decides which cells are worth a key read.
 
-/// Physical placement of a group's collision-resolution cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeLayout {
-    /// The paper's design: group *i* of level 2 is the contiguous range
-    /// `[i * group_size, (i+1) * group_size)`.
-    #[default]
-    Contiguous,
-    /// Ablation: the same *partition* of cells into groups, but group *i*
-    /// owns cells `{i + j * n_groups}` — every probe step jumps
-    /// `n_groups` cells, destroying spatial locality while keeping the
-    /// collision combinatorics identical. Isolates the value of group
-    /// sharing's contiguity (the paper's observation 2).
-    Strided,
-}
-
 /// The group table's two-level geometry (paper §3): `n_groups` groups of
-/// `group_size` cells per level, with the level-2 cells of a group placed
-/// according to [`ProbeLayout`].
+/// `group_size` cells per level; group *i* of level 2 is the contiguous
+/// range `[i * group_size, (i+1) * group_size)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupPlan {
     group_size: u64,
     n_groups: u64,
-    layout: ProbeLayout,
 }
 
 impl GroupPlan {
     /// Builds the plan. `group_size` and `n_groups` must both be non-zero
     /// powers of two (validated by the scheme's config).
-    pub fn new(group_size: u64, n_groups: u64, layout: ProbeLayout) -> Self {
+    pub fn new(group_size: u64, n_groups: u64) -> Self {
         debug_assert!(group_size.is_power_of_two());
         debug_assert!(n_groups > 0);
-        GroupPlan { group_size, n_groups, layout }
+        GroupPlan { group_size, n_groups }
     }
 
     /// Cells in one level (`group_size * n_groups`).
@@ -69,11 +53,6 @@ impl GroupPlan {
         self.n_groups
     }
 
-    /// The layout ablation knob.
-    pub fn layout(&self) -> ProbeLayout {
-        self.layout
-    }
-
     /// Which group a level-1 slot belongs to.
     pub fn group_of_slot(&self, slot: u64) -> u64 {
         slot / self.group_size
@@ -81,18 +60,12 @@ impl GroupPlan {
 
     /// The level-2 cell index of member `i` of group `g`.
     pub fn cell(&self, g: u64, i: u64) -> u64 {
-        match self.layout {
-            ProbeLayout::Contiguous => g * self.group_size + i,
-            ProbeLayout::Strided => g + i * self.n_groups,
-        }
+        g * self.group_size + i
     }
 
     /// Inverse of [`GroupPlan::cell`]: which group owns level-2 cell `idx`.
     pub fn group_of_cell(&self, idx: u64) -> u64 {
-        match self.layout {
-            ProbeLayout::Contiguous => idx / self.group_size,
-            ProbeLayout::Strided => idx % self.n_groups,
-        }
+        idx / self.group_size
     }
 
     /// The level-2 scan sequence for group `g`, in probe order.
@@ -616,7 +589,7 @@ mod tests {
 
     #[test]
     fn group_plan_contiguous_sequences() {
-        let p = GroupPlan::new(4, 8, ProbeLayout::Contiguous);
+        let p = GroupPlan::new(4, 8);
         assert_eq!(p.cells_per_level(), 32);
         assert_eq!(p.group_cells(0).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(p.group_cells(3).collect::<Vec<_>>(), vec![12, 13, 14, 15]);
@@ -629,27 +602,11 @@ mod tests {
     }
 
     #[test]
-    fn group_plan_strided_sequences() {
-        let p = GroupPlan::new(4, 8, ProbeLayout::Strided);
-        assert_eq!(p.group_cells(0).collect::<Vec<_>>(), vec![0, 8, 16, 24]);
-        assert_eq!(p.group_cells(3).collect::<Vec<_>>(), vec![3, 11, 19, 27]);
-        for g in 0..8 {
-            for c in p.group_cells(g) {
-                assert_eq!(p.group_of_cell(c), g);
-            }
-        }
-    }
-
-    #[test]
-    fn strided_and_contiguous_partition_identically() {
-        // Same partition of cells into groups, different order: the
-        // ablation changes locality only.
-        for layout in [ProbeLayout::Contiguous, ProbeLayout::Strided] {
-            let p = GroupPlan::new(8, 16, layout);
-            let mut seen: Vec<u64> = (0..16).flat_map(|g| p.group_cells(g)).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..128).collect::<Vec<_>>());
-        }
+    fn group_plan_partitions_the_level() {
+        let p = GroupPlan::new(8, 16);
+        let mut seen: Vec<u64> = (0..16).flat_map(|g| p.group_cells(g)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..128).collect::<Vec<_>>());
     }
 
     #[test]

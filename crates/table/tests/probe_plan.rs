@@ -6,15 +6,14 @@
 //! every scheme's locality and persistence-cost numbers.
 
 use nvm_table::probe::{
-    broadcast, match_bits, GroupPlan, IcebergPlan, LinearPlan, PathPlan, PfhtPlan, ProbeLayout,
-    ICEBERG_LANES,
+    broadcast, match_bits, GroupPlan, IcebergPlan, LinearPlan, PathPlan, PfhtPlan, ICEBERG_LANES,
 };
 
 // ------------------------------------------------------------- group plan
 
 #[test]
 fn group_contiguous_exact_sequence() {
-    let p = GroupPlan::new(4, 4, ProbeLayout::Contiguous);
+    let p = GroupPlan::new(4, 4);
     assert_eq!(p.cells_per_level(), 16);
     let g2: Vec<u64> = p.group_cells(2).collect();
     assert_eq!(g2, vec![8, 9, 10, 11]);
@@ -24,29 +23,16 @@ fn group_contiguous_exact_sequence() {
 }
 
 #[test]
-fn group_strided_exact_sequence() {
-    let p = GroupPlan::new(4, 4, ProbeLayout::Strided);
-    // Group 2 owns every 4th cell starting at 2: strided layout preserves
-    // the partition but destroys contiguity (the observation-2 ablation).
-    let g2: Vec<u64> = p.group_cells(2).collect();
-    assert_eq!(g2, vec![2, 6, 10, 14]);
-    assert_eq!(p.group_of_cell(10), 2);
-    assert_eq!(p.group_of_cell(14), 2);
-}
-
-#[test]
-fn group_layouts_partition_the_same_cells() {
-    // Both layouts must partition [0, cells_per_level) into n_groups
-    // disjoint sets — only the order within a group differs.
-    for layout in [ProbeLayout::Contiguous, ProbeLayout::Strided] {
-        let p = GroupPlan::new(8, 4, layout);
-        let mut seen: Vec<u64> = (0..4).flat_map(|g| p.group_cells(g)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..32).collect::<Vec<u64>>(), "{layout:?}");
-        for g in 0..4 {
-            for idx in p.group_cells(g) {
-                assert_eq!(p.group_of_cell(idx), g, "{layout:?} cell {idx}");
-            }
+fn group_layout_partitions_the_level() {
+    // The groups partition [0, cells_per_level) into n_groups disjoint
+    // contiguous ranges.
+    let p = GroupPlan::new(8, 4);
+    let mut seen: Vec<u64> = (0..4).flat_map(|g| p.group_cells(g)).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..32).collect::<Vec<u64>>());
+    for g in 0..4 {
+        for idx in p.group_cells(g) {
+            assert_eq!(p.group_of_cell(idx), g, "cell {idx}");
         }
     }
 }
