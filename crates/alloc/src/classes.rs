@@ -59,7 +59,10 @@ impl ClassTable {
     /// strictly ascending, `> LEN_PREFIX`).
     pub fn new(slot_sizes: &[u64]) -> Result<ClassTable, AllocError> {
         let t = ClassTable {
-            classes: slot_sizes.iter().map(|&s| SizeClass { slot_size: s }).collect(),
+            classes: slot_sizes
+                .iter()
+                .map(|&s| SizeClass { slot_size: s })
+                .collect(),
         };
         t.validate()?;
         Ok(t)

@@ -303,9 +303,11 @@ impl PmemHeap {
             }
             let mut placed = false;
             for s in order {
-                let slot = self.store.find_free_skipping(pm, s, self.cursors[s], |slot| {
-                    staged_set.contains(&(s, slot))
-                });
+                let slot = self
+                    .store
+                    .find_free_skipping(pm, s, self.cursors[s], |slot| {
+                        staged_set.contains(&(s, slot))
+                    });
                 if let Some(slot) = slot {
                     ptrs.push(self.store.stage_write(pm, s, slot, blob));
                     staged_set.insert((s, slot));

@@ -259,7 +259,11 @@ mod tests {
         assert_eq!(h.alloc_batch(&mut pm, &blobs), Err(AllocError::OutOfMemory));
         assert_eq!(h.allocated(&pm), 0, "failed batch leaked slots");
         assert_eq!(h.stats().allocs, 0);
-        assert_eq!(h.slab_writes(), &writes_before[..], "wear hints not rolled back");
+        assert_eq!(
+            h.slab_writes(),
+            &writes_before[..],
+            "wear hints not rolled back"
+        );
         // An oversize blob anywhere in the batch fails the same way.
         assert_eq!(
             h.alloc_batch(&mut pm, &[&[2; 10], &[2; 100]]),
@@ -296,10 +300,7 @@ mod tests {
             assert!(live.len() <= blobs.len(), "crash at +{at}");
             for p in live {
                 let got = h.read(&pm, p).unwrap();
-                assert!(
-                    blobs.contains(&got),
-                    "torn blob surfaced at +{at}: {got:?}"
-                );
+                assert!(blobs.contains(&got), "torn blob surfaced at +{at}: {got:?}");
             }
             if done {
                 break;

@@ -97,10 +97,9 @@ impl SlabStore {
         let mut total = 0;
         for i in 0..config.classes.len() {
             let g = config.slab_geometry(i);
-            total += (PmemBitmap::region_size(g.slots).max(8) + CACHELINE
-                + g.slots_bytes()
-                + CACHELINE)
-                * config.slabs_per_class as usize;
+            total +=
+                (PmemBitmap::region_size(g.slots).max(8) + CACHELINE + g.slots_bytes() + CACHELINE)
+                    * config.slabs_per_class as usize;
         }
         total
     }
@@ -132,11 +131,7 @@ impl SlabStore {
     }
 
     /// Creates a fresh store, zeroing every slab bitmap.
-    pub fn create<P: Pmem>(
-        pm: &mut P,
-        ra: &mut RegionAllocator,
-        config: &HeapConfig,
-    ) -> SlabStore {
+    pub fn create<P: Pmem>(pm: &mut P, ra: &mut RegionAllocator, config: &HeapConfig) -> SlabStore {
         let parts = Self::assemble(ra, config);
         for (bm_region, slab) in &parts {
             PmemBitmap::create(pm, *bm_region, slab.geom.slots);
@@ -399,7 +394,9 @@ mod tests {
     #[test]
     fn alloc_free_roundtrip_per_slab() {
         let (mut pm, store) = setup();
-        let (p, slot) = store.alloc_in(&mut pm, 1, b"second slab of class 0", 0).unwrap();
+        let (p, slot) = store
+            .alloc_in(&mut pm, 1, b"second slab of class 0", 0)
+            .unwrap();
         assert_eq!(slot, 0);
         assert_eq!(store.read(&pm, p).unwrap(), b"second slab of class 0");
         assert_eq!(store.live_slots(&pm, 1), 1);

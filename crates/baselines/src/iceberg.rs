@@ -88,13 +88,20 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
     /// quarter in each of level-2 and the backyard). The budget is rounded
     /// down to a power of two so each level's bucket count is one as well.
     pub fn geometry_for(total_cells: u64) -> (u64, u64, u64) {
-        assert!(total_cells >= 4 * ICEBERG_LANES, "table too small for iceberg");
+        assert!(
+            total_cells >= 4 * ICEBERG_LANES,
+            "table too small for iceberg"
+        );
         let t = if total_cells.is_power_of_two() {
             total_cells
         } else {
             total_cells.next_power_of_two() / 2
         };
-        (t / (2 * ICEBERG_LANES), t / (4 * ICEBERG_LANES), t / (4 * ICEBERG_LANES))
+        (
+            t / (2 * ICEBERG_LANES),
+            t / (4 * ICEBERG_LANES),
+            t / (4 * ICEBERG_LANES),
+        )
     }
 
     fn total_cells(l1: u64, l2: u64, backyard: u64) -> u64 {
@@ -185,7 +192,9 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
             seed,
             &[l1, l2, backyard, mode_flag, meta_flag],
         );
-        Ok(Self::assemble(region, geo, seed, meta_mode, journal, header))
+        Ok(Self::assemble(
+            region, geo, seed, meta_mode, journal, header,
+        ))
     }
 
     /// Header location; see `LinearProbing::header_region` for why this
@@ -221,13 +230,16 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         } else {
             ConsistencyMode::None
         };
-        let meta_mode = if header.geometry(pm, 4) == 1 { MetaMode::On } else { MetaMode::Off };
+        let meta_mode = if header.geometry(pm, 4) == 1 {
+            MetaMode::On
+        } else {
+            MetaMode::Off
+        };
         let seed = header.seed(pm);
         let total = Self::total_cells(l1, l2, backyard);
         let (_, _, _, log_r) = Self::layout(region, total);
         let journal = Journal::open(mode, log_r);
-        let mut t =
-            Self::assemble(region, (l1, l2, backyard), seed, meta_mode, journal, header);
+        let mut t = Self::assemble(region, (l1, l2, backyard), seed, meta_mode, journal, header);
         t.rebuild_meta(pm);
         Ok(t)
     }
@@ -368,7 +380,10 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
         let mut probes = ICEBERG_LANES;
         let mut occupied = ICEBERG_LANES;
         let (a, b) = self.plan.l2_pair(h2, h3);
-        let (fa, fb) = (self.free_lanes_in(pm, sess, a), self.free_lanes_in(pm, sess, b));
+        let (fa, fb) = (
+            self.free_lanes_in(pm, sess, a),
+            self.free_lanes_in(pm, sess, b),
+        );
         let pick = if fb > fa { b } else { a };
         probes += 2 * ICEBERG_LANES;
         occupied += 2 * ICEBERG_LANES - fa - fb;
@@ -422,7 +437,11 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) + n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -431,7 +450,11 @@ impl<P: Pmem, K: HashKey, V: Pod> Iceberg<P, K, V> {
     fn commit_remove_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) - n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 }
@@ -667,7 +690,10 @@ mod tests {
     fn geometry_for_splits_two_one_one() {
         let (l1, l2, by) = Iceberg::<SimPmem, u64, u64>::geometry_for(1 << 12);
         assert_eq!((l1, l2, by), (256, 128, 128));
-        assert_eq!(Iceberg::<SimPmem, u64, u64>::total_cells(l1, l2, by), 1 << 12);
+        assert_eq!(
+            Iceberg::<SimPmem, u64, u64>::total_cells(l1, l2, by),
+            1 << 12
+        );
         // Non-power-of-two budgets round down to a power of two.
         let (l1, l2, by) = Iceberg::<SimPmem, u64, u64>::geometry_for(5000);
         assert_eq!(Iceberg::<SimPmem, u64, u64>::total_cells(l1, l2, by), 4096);
@@ -715,7 +741,11 @@ mod tests {
             assert!(t.remove(&mut pm, &key));
         }
         for &(key, idx) in homes.iter().filter(|(key, _)| key % 3 != 0) {
-            assert_eq!(t.find(&pm, &key), Some(idx), "key {key} moved after removes");
+            assert_eq!(
+                t.find(&pm, &key),
+                Some(idx),
+                "key {key} moved after removes"
+            );
         }
         t.check_consistency(&pm).unwrap();
     }
@@ -731,7 +761,11 @@ mod tests {
         }
         // Full means the key's backyard chain was exhausted — by then the
         // whole backyard level is occupied and the fill is deep.
-        assert!(stored.len() as u64 >= t.capacity() / 2, "{} stored", stored.len());
+        assert!(
+            stored.len() as u64 >= t.capacity() / 2,
+            "{} stored",
+            stored.len()
+        );
         let mut level_seen = [false; 3];
         for &key in &stored {
             let idx = t.find(&pm, &key).unwrap();
@@ -790,7 +824,10 @@ mod tests {
             let k = err.committed as u64;
             assert!(k > 0 && k < 1000, "{meta:?}: {k} committed");
             let st = pm.stats();
-            assert_eq!((st.flushes, st.fences, st.atomic_writes), (2 * k + 1, k + 2, k + 1));
+            assert_eq!(
+                (st.flushes, st.fences, st.atomic_writes),
+                (2 * k + 1, k + 2, k + 1)
+            );
             assert_eq!(t.len(&pm), k);
             t.check_consistency(&pm).unwrap();
             assert_eq!(t.get(&pm, &(k - 1)), Some(k + 6));

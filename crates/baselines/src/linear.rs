@@ -191,7 +191,11 @@ impl<P: Pmem, K: HashKey, V: Pod> LinearProbing<P, K, V> {
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) + n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -501,8 +505,7 @@ mod tests {
             t.insert(&mut pm, k, k + 9).unwrap();
         }
         let size = LinearProbing::<SimPmem, u64, u64>::required_size(128);
-        let t2 =
-            LinearProbing::<SimPmem, u64, u64>::open(&mut pm, Region::new(0, size)).unwrap();
+        let t2 = LinearProbing::<SimPmem, u64, u64>::open(&mut pm, Region::new(0, size)).unwrap();
         assert_eq!(t2.name(), "linear-L");
         for k in 0..60u64 {
             assert_eq!(t2.get(&pm, &k), Some(k + 9));
@@ -545,23 +548,19 @@ mod tests {
         for at in 0.. {
             let mut pm2 = pm.clone();
             let size = LinearProbing::<SimPmem, u64, u64>::required_size(64);
-            let mut t2 = LinearProbing::<SimPmem, u64, u64>::open(
-                &mut pm2,
-                Region::new(0, size),
-            )
-            .unwrap();
+            let mut t2 =
+                LinearProbing::<SimPmem, u64, u64>::open(&mut pm2, Region::new(0, size)).unwrap();
             let base = pm2.events();
-            pm2.set_crash_plan(Some(CrashPlan { at_event: base + at }));
+            pm2.set_crash_plan(Some(CrashPlan {
+                at_event: base + at,
+            }));
             let done = run_with_crash(|| t2.remove(&mut pm2, &17)).is_ok();
             if done {
                 break;
             }
             pm2.crash(CrashResolution::Random(at));
-            let mut t3 = LinearProbing::<SimPmem, u64, u64>::open(
-                &mut pm2,
-                Region::new(0, size),
-            )
-            .unwrap();
+            let mut t3 =
+                LinearProbing::<SimPmem, u64, u64>::open(&mut pm2, Region::new(0, size)).unwrap();
             t3.recover(&mut pm2);
             t3.check_consistency(&pm2)
                 .unwrap_or_else(|e| panic!("crash at +{at}: {e}"));

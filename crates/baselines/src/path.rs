@@ -154,7 +154,9 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
             seed,
             &[leaf_bits as u64, levels as u64, mode_flag],
         );
-        Ok(Self::assemble(region, leaf_bits, levels, seed, journal, header))
+        Ok(Self::assemble(
+            region, leaf_bits, levels, seed, journal, header,
+        ))
     }
 
     /// Header location; see `LinearProbing::header_region` for why this
@@ -192,7 +194,9 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
         let total = Self::cell_count(leaf_bits, levels);
         let (_, _, _, log_r) = Self::layout(region, total);
         let journal = Journal::open(mode, log_r);
-        Ok(Self::assemble(region, leaf_bits, levels, seed, journal, header))
+        Ok(Self::assemble(
+            region, leaf_bits, levels, seed, journal, header,
+        ))
     }
 
     /// The persisted hash seed.
@@ -252,7 +256,11 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) + n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -261,7 +269,11 @@ impl<P: Pmem, K: HashKey, V: Pod> PathHash<P, K, V> {
     fn commit_remove_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) - n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -437,7 +449,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for PathHash<P, K, V> {
     }
 }
 
-
 /// The drainer's view: the raw index space is the whole cell array
 /// (buckets, stash, or tree levels alike — occupancy is
 /// position-independent, so eviction never breaks a probe invariant).
@@ -500,7 +511,10 @@ mod tests {
 
     #[test]
     fn cell_count_is_geometric_sum() {
-        assert_eq!(PathHash::<SimPmem, u64, u64>::cell_count(3, 4), 8 + 4 + 2 + 1);
+        assert_eq!(
+            PathHash::<SimPmem, u64, u64>::cell_count(3, 4),
+            8 + 4 + 2 + 1
+        );
         assert_eq!(PathHash::<SimPmem, u64, u64>::cell_count(3, 20), 15); // clamped
         assert_eq!(PathHash::<SimPmem, u64, u64>::cell_count(10, 1), 1024);
     }
@@ -513,8 +527,7 @@ mod tests {
             // And it is not wastefully small: doubling the leaves must bust
             // the budget.
             assert!(
-                PathHash::<SimPmem, u64, u64>::cell_count(lb + 1, DEFAULT_RESERVED_LEVELS)
-                    > total
+                PathHash::<SimPmem, u64, u64>::cell_count(lb + 1, DEFAULT_RESERVED_LEVELS) > total
             );
         }
     }
@@ -549,7 +562,10 @@ mod tests {
         }
         let occ = t.level_occupancy(&pm);
         assert!(occ[0] > 0);
-        assert!(occ[1..].iter().any(|&n| n > 0), "no overflow into levels: {occ:?}");
+        assert!(
+            occ[1..].iter().any(|&n| n > 0),
+            "no overflow into levels: {occ:?}"
+        );
         assert_eq!(occ.iter().sum::<u64>(), inserted);
         t.check_consistency(&pm).unwrap();
     }

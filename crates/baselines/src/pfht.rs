@@ -161,7 +161,14 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
         let mode_flag = matches!(mode, ConsistencyMode::UndoLog) as u64;
         let header =
             TableHeader::create(pm, h_r, MAGIC, seed, &[n_buckets, stash_cells, mode_flag]);
-        Ok(Self::assemble(region, n_buckets, stash_cells, seed, journal, header))
+        Ok(Self::assemble(
+            region,
+            n_buckets,
+            stash_cells,
+            seed,
+            journal,
+            header,
+        ))
     }
 
     /// Header location; see `LinearProbing::header_region` for why this
@@ -198,7 +205,14 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
         let total = Self::total_cells(n_buckets, stash_cells);
         let (_, _, _, log_r) = Self::layout(region, total);
         let journal = Journal::open(mode, log_r);
-        Ok(Self::assemble(region, n_buckets, stash_cells, seed, journal, header))
+        Ok(Self::assemble(
+            region,
+            n_buckets,
+            stash_cells,
+            seed,
+            journal,
+            header,
+        ))
     }
 
     /// The persisted hash seed.
@@ -253,7 +267,11 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
     fn commit_insert_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) + n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -262,7 +280,11 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
     fn commit_remove_chunk(&mut self, pm: &mut P, sess: &mut BatchSession<K, V>) -> usize {
         let n = sess.staged();
         let count = self.header.count(pm) - n as u64;
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
         n
     }
 
@@ -331,10 +353,10 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
 
         // 3. Stash.
         let base = self.plan.stash_base();
-        if let Some(idx) =
-            self.store
-                .bitmap
-                .find_zero_in_range(pm, base, self.plan.stash_cells())
+        if let Some(idx) = self
+            .store
+            .bitmap
+            .find_zero_in_range(pm, base, self.plan.stash_cells())
         {
             let off = idx - base;
             self.journal.begin(pm);
@@ -387,11 +409,9 @@ impl<P: Pmem, K: HashKey, V: Pod> Pfht<P, K, V> {
 
     /// Number of items currently in the stash (diagnostic).
     pub fn stash_used(&self, pm: &P) -> u64 {
-        self.store.bitmap.count_ones_in_range(
-            pm,
-            self.plan.stash_base(),
-            self.plan.stash_cells(),
-        )
+        self.store
+            .bitmap
+            .count_ones_in_range(pm, self.plan.stash_base(), self.plan.stash_cells())
     }
 }
 
@@ -566,7 +586,6 @@ impl<P: Pmem, K: HashKey, V: Pod> HashScheme<P, K, V> for Pfht<P, K, V> {
         Ok(())
     }
 }
-
 
 /// The drainer's view: the raw index space is the whole cell array
 /// (buckets, stash, or tree levels alike — occupancy is

@@ -53,7 +53,9 @@ fn drive<S: HashScheme<SimPmem, u64, u64>>(
         }
     }
     prop_assert_eq!(table.len(pm), oracle.len() as u64);
-    table.check_consistency(pm).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    table
+        .check_consistency(pm)
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
     Ok(())
 }
 

@@ -32,12 +32,7 @@ fn build(cfg: GroupHashConfig) -> (RealPmem, GroupHash<RealPmem, u64, u64>, Vec<
     (pm, t, filled)
 }
 
-fn bench_variant(
-    c: &mut Criterion,
-    group: &str,
-    label: &str,
-    cfg: GroupHashConfig,
-) {
+fn bench_variant(c: &mut Criterion, group: &str, label: &str, cfg: GroupHashConfig) {
     let (mut pm, mut table, filled) = build(cfg);
     let fresh = fresh_keys(SEED, filled.len(), 4096);
     let mut g = c.benchmark_group(group.to_string());

@@ -9,7 +9,9 @@ fn bench_hashes(c: &mut Criterion) {
     let mut g = c.benchmark_group("hashfn/1KiB");
     g.throughput(Throughput::Bytes(1024));
     g.bench_function("xxhash64", |b| b.iter(|| xxhash64(&data_1k, 7)));
-    g.bench_function("murmur3_x64_128", |b| b.iter(|| murmur3_x64_128(&data_1k, 7)));
+    g.bench_function("murmur3_x64_128", |b| {
+        b.iter(|| murmur3_x64_128(&data_1k, 7))
+    });
     g.bench_function("md5", |b| b.iter(|| md5(&data_1k)));
     g.finish();
 

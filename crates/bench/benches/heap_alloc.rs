@@ -58,12 +58,18 @@ type SizeDist = (&'static str, Box<dyn FnMut(&mut SmallRng) -> usize>);
 /// (name, sampler) pairs for the value-size distributions swept.
 fn dists() -> Vec<SizeDist> {
     vec![
-        ("uniform-16-64", Box::new(|r: &mut SmallRng| r.gen_range(16..=64))),
+        (
+            "uniform-16-64",
+            Box::new(|r: &mut SmallRng| r.gen_range(16..=64)),
+        ),
         (
             "hot-24-cold-512",
             Box::new(|r: &mut SmallRng| if r.gen_range(0..10usize) < 9 { 24 } else { 512 }),
         ),
-        ("mixed-16-1024", Box::new(|r: &mut SmallRng| r.gen_range(16..=1024))),
+        (
+            "mixed-16-1024",
+            Box::new(|r: &mut SmallRng| r.gen_range(16..=1024)),
+        ),
     ]
 }
 

@@ -52,7 +52,9 @@ fn fixture() -> Fixture {
             present.push(k);
         }
     }
-    let positive: Vec<u64> = (0..OPS).map(|i| present[(i * 131) % present.len()]).collect();
+    let positive: Vec<u64> = (0..OPS)
+        .map(|i| present[(i * 131) % present.len()])
+        .collect();
     // Odd keys from a different stride stream; the fill stream above
     // never produces them (different generator), so they all miss.
     let negative: Vec<u64> = (0..OPS as u64)
@@ -82,21 +84,17 @@ fn bench_multi_get(c: &mut Criterion) {
             })
         });
         for batch in BATCH_SIZES {
-            g.bench_with_input(
-                BenchmarkId::new("get_batch", batch),
-                &batch,
-                |b, &batch| {
-                    b.iter(|| {
-                        let mut hits = 0usize;
-                        for chunk in keys.chunks(batch) {
-                            for v in fx.t.get_batch(&fx.pm, chunk) {
-                                hits += v.is_some() as usize;
-                            }
+            g.bench_with_input(BenchmarkId::new("get_batch", batch), &batch, |b, &batch| {
+                b.iter(|| {
+                    let mut hits = 0usize;
+                    for chunk in keys.chunks(batch) {
+                        for v in fx.t.get_batch(&fx.pm, chunk) {
+                            hits += v.is_some() as usize;
                         }
-                        hits
-                    })
-                },
-            );
+                    }
+                    hits
+                })
+            });
         }
         g.finish();
     }

@@ -29,10 +29,8 @@ fn fresh_table() -> Table {
     let cfg = GroupHashConfig::new(CELLS_PER_LEVEL, 16);
     // Zero emulated write latency: the bench isolates the coordination
     // cost (shard latches, seqlock bumps), not the 300 ns NVM stall.
-    ShardedGroupHash::create(SHARDS, cfg, |_, size| {
-        RealPmem::with_write_latency(size, 0)
-    })
-    .expect("create shards")
+    ShardedGroupHash::create(SHARDS, cfg, |_, size| RealPmem::with_write_latency(size, 0))
+        .expect("create shards")
 }
 
 /// Disjoint per-thread key ranges: thread `ti` owns
@@ -46,8 +44,28 @@ fn bench_write_scaling(c: &mut Criterion) {
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
         g.throughput(Throughput::Elements(threads as u64 * OPS_PER_THREAD));
+        g.bench_with_input(BenchmarkId::new("insert", threads), &threads, |b, &nt| {
+            b.iter_batched(
+                fresh_table,
+                |t| {
+                    std::thread::scope(|s| {
+                        for ti in 0..nt {
+                            let t = &t;
+                            s.spawn(move || {
+                                for i in 0..OPS_PER_THREAD {
+                                    let k = thread_key(ti, i);
+                                    t.insert(k, k ^ 0xFF).unwrap();
+                                }
+                            });
+                        }
+                    });
+                    t
+                },
+                BatchSize::LargeInput,
+            )
+        });
         g.bench_with_input(
-            BenchmarkId::new("insert", threads),
+            BenchmarkId::new("mixed_50_50", threads),
             &threads,
             |b, &nt| {
                 b.iter_batched(
@@ -57,9 +75,18 @@ fn bench_write_scaling(c: &mut Criterion) {
                             for ti in 0..nt {
                                 let t = &t;
                                 s.spawn(move || {
+                                    let mut inserted = 0u64;
                                     for i in 0..OPS_PER_THREAD {
-                                        let k = thread_key(ti, i);
-                                        t.insert(k, k ^ 0xFF).unwrap();
+                                        if i % 2 == 0 {
+                                            let k = thread_key(ti, inserted);
+                                            t.insert(k, k ^ 0xFF).unwrap();
+                                            inserted += 1;
+                                        } else {
+                                            // Read back a key this thread
+                                            // already wrote: always a hit.
+                                            let k = thread_key(ti, i % inserted);
+                                            assert!(t.get(&k).is_some());
+                                        }
                                     }
                                 });
                             }
@@ -70,35 +97,6 @@ fn bench_write_scaling(c: &mut Criterion) {
                 )
             },
         );
-        g.bench_with_input(BenchmarkId::new("mixed_50_50", threads), &threads, |b, &nt| {
-            b.iter_batched(
-                fresh_table,
-                |t| {
-                    std::thread::scope(|s| {
-                        for ti in 0..nt {
-                            let t = &t;
-                            s.spawn(move || {
-                                let mut inserted = 0u64;
-                                for i in 0..OPS_PER_THREAD {
-                                    if i % 2 == 0 {
-                                        let k = thread_key(ti, inserted);
-                                        t.insert(k, k ^ 0xFF).unwrap();
-                                        inserted += 1;
-                                    } else {
-                                        // Read back a key this thread
-                                        // already wrote: always a hit.
-                                        let k = thread_key(ti, i % inserted);
-                                        assert!(t.get(&k).is_some());
-                                    }
-                                }
-                            });
-                        }
-                    });
-                    t
-                },
-                BatchSize::LargeInput,
-            )
-        });
     }
     g.finish();
 }

@@ -191,6 +191,11 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        assert!(CacheConfig { levels: vec![], prefetch: Prefetcher::None }.validate().is_err());
+        assert!(CacheConfig {
+            levels: vec![],
+            prefetch: Prefetcher::None
+        }
+        .validate()
+        .is_err());
     }
 }

@@ -111,7 +111,11 @@ impl CacheHierarchy {
     /// invalid (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Self {
         config.validate().expect("invalid cache configuration");
-        let levels = config.levels.iter().map(CacheLevel::new).collect::<Vec<_>>();
+        let levels = config
+            .levels
+            .iter()
+            .map(CacheLevel::new)
+            .collect::<Vec<_>>();
         let n = levels.len();
         CacheHierarchy {
             levels,

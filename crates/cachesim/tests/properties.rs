@@ -1,6 +1,8 @@
 //! Property-based tests for the cache simulator.
 
-use nvm_cachesim::{AccessKind, CacheConfig, CacheHierarchy, HitLevel, LevelConfig, Prefetcher, LINE_BYTES};
+use nvm_cachesim::{
+    AccessKind, CacheConfig, CacheHierarchy, HitLevel, LevelConfig, Prefetcher, LINE_BYTES,
+};
 use proptest::prelude::*;
 use std::collections::HashSet;
 

@@ -37,10 +37,7 @@ pub struct TableAnalysis {
 
 impl TableAnalysis {
     /// Builds an occupancy snapshot (O(capacity)).
-    pub fn capture<P: Pmem, K: HashKey, V: Pod>(
-        table: &GroupHash<P, K, V>,
-        pm: &P,
-    ) -> Self {
+    pub fn capture<P: Pmem, K: HashKey, V: Pod>(table: &GroupHash<P, K, V>, pm: &P) -> Self {
         let (config, bitmap1, bitmap2, _c1, _c2) = table.parts();
         let gs = config.group_size;
         let mut groups = vec![GroupFill::default(); config.n_groups() as usize];
@@ -191,7 +188,11 @@ mod tests {
         assert_eq!(a.level1_used + a.level2_used, 150);
         assert_eq!(a.groups.len(), 16);
         assert_eq!(
-            a.fill_histogram().iter().enumerate().map(|(i, &c)| i as u64 * c).sum::<u64>(),
+            a.fill_histogram()
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| i as u64 * c)
+                .sum::<u64>(),
             150
         );
         assert!(a.max_group_fill() <= 2 * 16);

@@ -293,7 +293,10 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
         let mut factory = self.make_pool.lock();
         let mut pm = (*factory)(i, size);
         drop(factory);
-        assert!(pm.len() >= size, "factory pool too small for shard expansion");
+        assert!(
+            pm.len() >= size,
+            "factory pool too small for shard expansion"
+        );
         let table = GroupHash::create(&mut pm, Region::new(0, size), new_cfg)
             .expect("doubled config is valid");
         let old_pm = std::mem::replace(&mut inner.pm, pm);
@@ -413,12 +416,11 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
                 continue;
             }
             let views = unsafe { &*shard.views.load(Ordering::Acquire) };
-            let v = views.active.0.get(&views.active.1, key).or_else(|| {
-                views
-                    .draining
-                    .as_ref()
-                    .and_then(|(vw, rh)| vw.get(rh, key))
-            });
+            let v = views
+                .active
+                .0
+                .get(&views.active.1, key)
+                .or_else(|| views.draining.as_ref().and_then(|(vw, rh)| vw.get(rh, key)));
             // Order the probe's loads before the validation load.
             fence(Ordering::Acquire);
             if shard.seq.load(Ordering::Relaxed) == s1 {
@@ -640,8 +642,7 @@ impl<P: Pmem, K: HashKey, V: Pod> ShardedGroupHash<P, K, V> {
         (0..self.shards.len())
             .map(|i| {
                 let g = self.lock_shard(i);
-                g.table.len(&g.pm)
-                    + g.draining.as_ref().map_or(0, |d| d.table.len(&d.pm))
+                g.table.len(&g.pm) + g.draining.as_ref().map_or(0, |d| d.table.len(&d.pm))
             })
             .sum()
     }
@@ -1014,9 +1015,7 @@ mod tests {
         // permutation must keep them in caller order so "last write wins"
         // semantics match the unsharded table's sequential batch.
         let t = build(4);
-        let items: Vec<(u64, u64)> = (0..50u64)
-            .flat_map(|k| [(k, k), (k, k + 1000)])
-            .collect();
+        let items: Vec<(u64, u64)> = (0..50u64).flat_map(|k| [(k, k), (k, k + 1000)]).collect();
         // The unsharded batch rejects duplicates; route through singles
         // semantics instead: insert first copies, then batch-remove.
         let firsts: Vec<(u64, u64)> = (0..50u64).map(|k| (k, k)).collect();

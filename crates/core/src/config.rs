@@ -212,7 +212,11 @@ impl GroupHashConfig {
             } else {
                 ChoiceMode::Single
             },
-            fp: if flags & FLAG_FP != 0 { FpMode::On } else { FpMode::Off },
+            fp: if flags & FLAG_FP != 0 {
+                FpMode::On
+            } else {
+                FpMode::Off
+            },
         })
     }
 }
@@ -259,11 +263,17 @@ mod tests {
             GroupHashConfig::for_total_cells(1),
             Err(TableError::Config(_))
         ));
-        GroupHashConfig::for_total_cells(2).unwrap().validate().unwrap();
+        GroupHashConfig::for_total_cells(2)
+            .unwrap()
+            .validate()
+            .unwrap();
         // A with_* chain ending in build() catches bad geometry early.
         let err = GroupHashConfig::new(1024, 100).with_seed(7).build();
         assert!(matches!(err, Err(TableError::Config(_))));
-        let ok = GroupHashConfig::new(1024, 256).with_seed(7).build().unwrap();
+        let ok = GroupHashConfig::new(1024, 256)
+            .with_seed(7)
+            .build()
+            .unwrap();
         assert_eq!(ok.seed, 7);
     }
 

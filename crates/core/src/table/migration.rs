@@ -150,7 +150,10 @@ mod tests {
         assert!(cursor > 0 && src.migration_active(&pm));
         let mut src = T::open(&mut pm, Region::new(0, a)).unwrap();
         let mut dst = T::open(&mut pm, Region::new(a, b + 128)).unwrap();
-        assert_eq!(MigrationSource::<_, u64, u64>::migration_cursor(&src, &pm), cursor);
+        assert_eq!(
+            MigrationSource::<_, u64, u64>::migration_cursor(&src, &pm),
+            cursor
+        );
         while !migrate_step_same_pool(&mut pm, &mut src, &mut dst, 10) {}
         assert_eq!(dst.len(&pm), 100);
         assert_eq!(src.len(&pm), 0);

@@ -94,10 +94,7 @@ pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
 impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// Carves `region` into the table's sub-regions. Deterministic, so
     /// `open` can redo it from persisted geometry.
-    fn layout(
-        region: Region,
-        n: u64,
-    ) -> (Region, Region, Region, Region, Region, Region) {
+    fn layout(region: Region, n: u64) -> (Region, Region, Region, Region, Region, Region) {
         let mut alloc = RegionAllocator::new(region.off, region.end());
         let header = alloc.alloc_lines(TableHeader::SIZE);
         let bitmap1 = alloc.alloc_lines(PmemBitmap::region_size(n).max(8));
@@ -178,15 +175,14 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     }
 
     /// Creates and initializes a fresh table in `region`.
-    pub fn create(
-        pm: &mut P,
-        region: Region,
-        config: GroupHashConfig,
-    ) -> Result<Self, TableError> {
+    pub fn create(pm: &mut P, region: Region, config: GroupHashConfig) -> Result<Self, TableError> {
         config.validate()?;
         let need = Self::required_size(&config);
         if region.len < need {
-            return Err(TableError::RegionTooSmall { have: region.len, need });
+            return Err(TableError::RegionTooSmall {
+                have: region.len,
+                need,
+            });
         }
         let n = config.cells_per_level;
         let (h_r, b1, b2, c1, c2, log_r) = Self::layout(region, n);
@@ -200,7 +196,13 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             h_r,
             MAGIC,
             config.seed,
-            &[n, config.group_size, K::SIZE as u64, V::SIZE as u64, config.flags()],
+            &[
+                n,
+                config.group_size,
+                K::SIZE as u64,
+                V::SIZE as u64,
+                config.flags(),
+            ],
         );
         Ok(Self::assemble(region, config, header))
     }
@@ -209,10 +211,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// the geometry — `open` must validate the header before running the
     /// full layout, or a bogus region would panic instead of erroring.
     fn header_region(region: Region) -> Region {
-        Region::new(
-            nvm_pmem::align_up(region.off, CACHELINE),
-            TableHeader::SIZE,
-        )
+        Region::new(nvm_pmem::align_up(region.off, CACHELINE), TableHeader::SIZE)
     }
 
     /// Re-opens a table previously created in `region` (e.g. after a

@@ -421,7 +421,10 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             while cand != 0 {
                 let bit = cand.trailing_zeros() as u64;
                 let idx = word_base + bit;
-                pm.prefetch(self.store2.cells.cell_off(idx), self.store2.cells.entry_len());
+                pm.prefetch(
+                    self.store2.cells.cell_off(idx),
+                    self.store2.cells.entry_len(),
+                );
                 cand &= cand - 1;
             }
             base = word_base + 64;

@@ -78,7 +78,11 @@ mod tests {
         let hash = HashPair::from_seed(cfg.seed);
         for k in 0..500u64 {
             assert!(slot_of(&hash, &cfg, &k) < 256);
-            assert_eq!(slot2_of(&hash, &cfg, &k), None, "single-choice has no slot 2");
+            assert_eq!(
+                slot2_of(&hash, &cfg, &k),
+                None,
+                "single-choice has no slot 2"
+            );
         }
         let cfg2 = cfg.with_choice(ChoiceMode::TwoChoice);
         for k in 0..500u64 {

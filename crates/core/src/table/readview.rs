@@ -271,13 +271,7 @@ impl<K: HashKey, V: Pod> GroupReadView<K, V> {
     /// revalidated value on a hit. A cell that matches but fails
     /// revalidation is skipped — the remover won; the rest of the group
     /// still gets scanned.
-    fn find_in_group<R: PmemRead>(
-        &self,
-        pm: &R,
-        plan: &GroupPlan,
-        g: u64,
-        key: &K,
-    ) -> Option<V> {
+    fn find_in_group<R: PmemRead>(&self, pm: &R, plan: &GroupPlan, g: u64, key: &K) -> Option<V> {
         for i in 0..self.config.group_size {
             let idx = plan.cell(g, i);
             if self.store2.is_occupied(pm, idx) && self.store2.read_key(pm, idx) == *key {

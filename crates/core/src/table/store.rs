@@ -83,7 +83,11 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
             .count(pm)
             .checked_add_signed(delta)
             .expect("count out of range");
-        sess.commit(pm, &mut self.journal, Some((self.header.count_off(), count)));
+        sess.commit(
+            pm,
+            &mut self.journal,
+            Some((self.header.count_off(), count)),
+        );
     }
 
     /// Rebuilds the fingerprint cache from the bitmaps + cells (the only

@@ -109,7 +109,9 @@ fn update_in_place_is_atomic_under_crash() {
         let mut pm = pm0.clone();
         let mut t = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).unwrap();
         let base = pm.events();
-        pm.set_crash_plan(Some(CrashPlan { at_event: base + at }));
+        pm.set_crash_plan(Some(CrashPlan {
+            at_event: base + at,
+        }));
         let done = run_with_crash(|| t.update_in_place(&mut pm, &5, 222)).is_ok();
         pm.crash(CrashResolution::Random(at));
         let mut t = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).unwrap();
@@ -249,9 +251,7 @@ fn two_choice_improves_utilization() {
         t.len(&pm) as f64 / t.capacity() as f64
     };
     let single = fill_until_full(GroupHashConfig::new(512, 64));
-    let double = fill_until_full(
-        GroupHashConfig::new(512, 64).with_choice(ChoiceMode::TwoChoice),
-    );
+    let double = fill_until_full(GroupHashConfig::new(512, 64).with_choice(ChoiceMode::TwoChoice));
     assert!(
         double > single + 0.03,
         "two-choice {double:.3} should beat single {single:.3}"
@@ -427,7 +427,10 @@ fn fingerprint_counters_and_probe_parity() {
     let t_on = run(FpMode::On);
     let (i_off, i_on) = (&t_off.instr, &t_on.instr);
     assert_eq!(i_off.probe.count(), i_on.probe.count());
-    assert_eq!(i_off.probe.to_json().to_string(), i_on.probe.to_json().to_string());
+    assert_eq!(
+        i_off.probe.to_json().to_string(),
+        i_on.probe.to_json().to_string()
+    );
     let f = &i_on.fingerprint;
     assert_eq!(f.key_reads.get(), f.hits.get() + f.false_positives.get());
     assert!(f.skips.get() > 0, "tag filter never skipped a cell");

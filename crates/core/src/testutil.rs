@@ -11,9 +11,7 @@ pub(crate) fn make(n: u64, g: u64) -> (SimPmem, GroupHash<SimPmem, u64, u64>, Re
 }
 
 /// Same, from an explicit configuration.
-pub(crate) fn make_cfg(
-    cfg: GroupHashConfig,
-) -> (SimPmem, GroupHash<SimPmem, u64, u64>, Region) {
+pub(crate) fn make_cfg(cfg: GroupHashConfig) -> (SimPmem, GroupHash<SimPmem, u64, u64>, Region) {
     let size = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
     let mut pm = SimPmem::new(size, SimConfig::fast_test());
     let region = Region::new(0, size);

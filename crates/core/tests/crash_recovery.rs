@@ -124,8 +124,12 @@ fn scan_step(cfg: GroupHashConfig, steps: &[Step], i: usize) {
     for how in [
         CrashResolution::DropUnflushed,
         CrashResolution::PersistAll,
-        CrashResolution::Alternate { persist_first: true },
-        CrashResolution::Alternate { persist_first: false },
+        CrashResolution::Alternate {
+            persist_first: true,
+        },
+        CrashResolution::Alternate {
+            persist_first: false,
+        },
         CrashResolution::Random(0xC0FFEE),
         CrashResolution::Random(42),
     ] {
@@ -154,9 +158,7 @@ fn insert_into_group_is_crash_atomic() {
     let (pm, t, _) = fresh(cfg);
     // Find two keys with the same level-1 slot.
     let base_slot = t.slot_of(&1000);
-    let collider = (1001..)
-        .find(|k| t.slot_of(k) == base_slot)
-        .unwrap();
+    let collider = (1001..).find(|k| t.slot_of(k) == base_slot).unwrap();
     let _ = (t, pm);
     let steps = [Step::Insert(1000, 1), Step::Insert(collider, 2)];
     scan_step(cfg, &steps, 1);
@@ -164,11 +166,7 @@ fn insert_into_group_is_crash_atomic() {
 
 #[test]
 fn delete_from_level1_is_crash_atomic() {
-    let steps = [
-        Step::Insert(5, 50),
-        Step::Insert(6, 60),
-        Step::Remove(5),
-    ];
+    let steps = [Step::Insert(5, 50), Step::Insert(6, 60), Step::Remove(5)];
     scan_step(small_cfg(), &steps, 2);
 }
 

@@ -24,7 +24,9 @@ fn build() -> (SimPmem, GroupHash<SimPmem, u64, u64>) {
 }
 
 fn build_with_fp(fp: FpMode) -> (SimPmem, GroupHash<SimPmem, u64, u64>) {
-    let cfg = GroupHashConfig::new(1 << 10, 64).with_seed(9).with_fp_mode(fp);
+    let cfg = GroupHashConfig::new(1 << 10, 64)
+        .with_seed(9)
+        .with_fp_mode(fp);
     let size = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
     let mut pm = SimPmem::new(size, SimConfig::paper_default());
     let table = GroupHash::create(&mut pm, Region::new(0, size), cfg).unwrap();
@@ -129,8 +131,18 @@ fn fingerprint_cache_never_changes_persistence_costs() {
         assert_eq!((d_on.pmem.flushes, d_on.pmem.fences), (3, 3), "key {k}");
         assert_eq!(d_on.pmem.atomic_writes, 2, "key {k}");
         assert_eq!(
-            (d_off.pmem.flushes, d_off.pmem.fences, d_off.pmem.writes, d_off.pmem.bytes_written),
-            (d_on.pmem.flushes, d_on.pmem.fences, d_on.pmem.writes, d_on.pmem.bytes_written),
+            (
+                d_off.pmem.flushes,
+                d_off.pmem.fences,
+                d_off.pmem.writes,
+                d_off.pmem.bytes_written
+            ),
+            (
+                d_on.pmem.flushes,
+                d_on.pmem.fences,
+                d_on.pmem.writes,
+                d_on.pmem.bytes_written
+            ),
             "insert of key {k} diverged"
         );
     }
@@ -141,8 +153,18 @@ fn fingerprint_cache_never_changes_persistence_costs() {
         assert_eq!(d_on.pmem.atomic_writes, 2, "key {k}");
         assert_eq!(d_on.pmem.bytes_written, 32, "key {k}");
         assert_eq!(
-            (d_off.pmem.flushes, d_off.pmem.fences, d_off.pmem.writes, d_off.pmem.bytes_written),
-            (d_on.pmem.flushes, d_on.pmem.fences, d_on.pmem.writes, d_on.pmem.bytes_written),
+            (
+                d_off.pmem.flushes,
+                d_off.pmem.fences,
+                d_off.pmem.writes,
+                d_off.pmem.bytes_written
+            ),
+            (
+                d_on.pmem.flushes,
+                d_on.pmem.fences,
+                d_on.pmem.writes,
+                d_on.pmem.bytes_written
+            ),
             "remove of key {k} diverged"
         );
     }

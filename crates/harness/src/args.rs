@@ -70,10 +70,7 @@ impl Args {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
-            let mut val = |name: &str| {
-                it.next()
-                    .ok_or_else(|| format!("missing value for {name}"))
-            };
+            let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
             match flag.as_str() {
                 "--cells-log2" => {
                     out.cells_log2 = Some(
@@ -82,9 +79,7 @@ impl Args {
                             .map_err(|e| format!("--cells-log2: {e}"))?,
                     )
                 }
-                "--ops" => {
-                    out.ops = val("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?
-                }
+                "--ops" => out.ops = val("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
                 "--full" => out.full = true,
                 "--seed" => {
                     out.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
@@ -123,16 +118,16 @@ impl Args {
     /// The scheme cast for an experiment: `--schemes` when given, the
     /// experiment's `default` otherwise.
     pub fn cast(&self, default: &[SchemeKind]) -> Vec<SchemeKind> {
-        self.schemes
-            .clone()
-            .unwrap_or_else(|| default.to_vec())
+        self.schemes.clone().unwrap_or_else(|| default.to_vec())
     }
 
     /// The cell budget for `trace`, honouring `--cells-log2`/`--full`.
     pub fn cells_for(&self, trace: crate::TraceKind) -> u64 {
-        let log2 = self
-            .cells_log2
-            .unwrap_or(if self.full { trace.paper_cells_log2() } else { 18 });
+        let log2 = self.cells_log2.unwrap_or(if self.full {
+            trace.paper_cells_log2()
+        } else {
+            18
+        });
         1u64 << log2
     }
 }
@@ -170,7 +165,14 @@ mod tests {
     #[test]
     fn all_flags() {
         let a = parse(&[
-            "--ops", "50", "--seed", "9", "--out-dir", "/tmp/x", "--group-size", "128",
+            "--ops",
+            "50",
+            "--seed",
+            "9",
+            "--out-dir",
+            "/tmp/x",
+            "--group-size",
+            "128",
         ])
         .unwrap();
         assert_eq!(a.ops, 50);
@@ -194,12 +196,19 @@ mod tests {
         let a = parse(&["--schemes", "iceberg,group, PFHT-L"]).unwrap();
         assert_eq!(
             a.schemes,
-            Some(vec![SchemeKind::Iceberg, SchemeKind::Group, SchemeKind::PfhtL])
+            Some(vec![
+                SchemeKind::Iceberg,
+                SchemeKind::Group,
+                SchemeKind::PfhtL
+            ])
         );
         // The filter overrides an experiment's default cast; absent, the
         // default stands.
         assert_eq!(a.cast(&SchemeKind::CONSISTENT).len(), 3);
         let d = parse(&[]).unwrap();
-        assert_eq!(d.cast(&SchemeKind::CONSISTENT), SchemeKind::CONSISTENT.to_vec());
+        assert_eq!(
+            d.cast(&SchemeKind::CONSISTENT),
+            SchemeKind::CONSISTENT.to_vec()
+        );
     }
 }

@@ -163,10 +163,20 @@ pub fn run(args: &Args) -> Vec<Table> {
     let kmax = *BATCH_SIZES.last().unwrap();
     let mut summary = Table::new(
         format!("Fence coalescing: K=1 vs K={kmax} (expect 3 -> 1+2/K unlogged)"),
-        &["scheme", "fences/op K=1", &format!("fences/op K={kmax}"), "reduction", "fences saved"],
+        &[
+            "scheme",
+            "fences/op K=1",
+            &format!("fences/op K={kmax}"),
+            "reduction",
+            "fences saved",
+        ],
     );
     for kind in CAST {
-        let pick = |k: usize| data.iter().find(|r| r.scheme == kind && r.batch == k).unwrap();
+        let pick = |k: usize| {
+            data.iter()
+                .find(|r| r.scheme == kind && r.batch == k)
+                .unwrap()
+        };
         let (one, big) = (pick(1), pick(kmax));
         summary.row(vec![
             kind.label().into(),

@@ -312,7 +312,9 @@ pub fn collect_writers(args: &Args) -> Vec<WriterRunData> {
     // receive, so every shard doubles online (several times) while the
     // writers are still streaming inserts.
     let small = (per_level / 8).max(group_size);
-    out.push(run_writers_one(4, small, group_size, args.seed, total, true));
+    out.push(run_writers_one(
+        4, small, group_size, args.seed, total, true,
+    ));
     out
 }
 
@@ -492,8 +494,16 @@ mod tests {
         let data = collect(&args);
         assert_eq!(data.len(), READERS.len() * WRITERS.len());
         for r in &data {
-            assert_eq!(r.phantom_misses, 0, "{}r/{}w lost a key", r.readers, r.writers);
-            assert_eq!(r.torn_values, 0, "{}r/{}w saw a torn value", r.readers, r.writers);
+            assert_eq!(
+                r.phantom_misses, 0,
+                "{}r/{}w lost a key",
+                r.readers, r.writers
+            );
+            assert_eq!(
+                r.torn_values, 0,
+                "{}r/{}w saw a torn value",
+                r.readers, r.writers
+            );
             assert_eq!(r.reads, (r.readers * 50 * 64) as u64);
             if r.writers == 0 {
                 assert_eq!(r.seqlock_retries, 0, "retry without any writer");
@@ -517,7 +527,8 @@ mod tests {
         assert_eq!(data.len(), WRITER_COUNTS.len() + 1);
         for r in &data {
             assert_eq!(
-                r.lost_updates, 0,
+                r.lost_updates,
+                0,
                 "{}w{} lost an update",
                 r.writers,
                 if r.expansion { " (expansion)" } else { "" },

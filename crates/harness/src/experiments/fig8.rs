@@ -28,7 +28,13 @@ pub fn collect(args: &Args) -> Vec<(u64, WorkloadReport, f64)> {
                 args.seed,
                 gs,
             );
-            let u = utilization(SchemeKind::Group, TraceKind::RandomNum, cells, args.seed, gs);
+            let u = utilization(
+                SchemeKind::Group,
+                TraceKind::RandomNum,
+                cells,
+                args.seed,
+                gs,
+            );
             (gs, r, u)
         })
         .collect()

@@ -229,11 +229,7 @@ pub fn collect_leaks(args: &Args) -> Vec<LeakRow> {
             .set(format!("warm-{i}").as_bytes(), &[i as u8; 24])
             .unwrap();
     }
-    let pm0 = store0
-        .into_pools()
-        .ok()
-        .expect("sole handle")
-        .remove(0);
+    let pm0 = store0.into_pools().ok().expect("sole handle").remove(0);
 
     let items: Vec<(Vec<u8>, Vec<u8>)> = (0..64u32)
         .map(|i| {
@@ -272,11 +268,7 @@ pub fn collect_leaks(args: &Args) -> Vec<LeakRow> {
             pm.set_crash_plan(Some(CrashPlan { at_event: at }));
             let store = builder.open(vec![pm]).unwrap();
             let _ = run_with_crash(|| store.set_batch(&refs).unwrap());
-            let mut pm = store
-                .into_pools()
-                .ok()
-                .expect("sole handle")
-                .remove(0);
+            let mut pm = store.into_pools().ok().expect("sole handle").remove(0);
             pm.crash(CrashResolution::Random(args.seed ^ at));
 
             let store = builder.open(vec![pm]).unwrap();
@@ -341,7 +333,11 @@ pub fn metrics_json(rows: &[HeapRow], leaks: &[LeakRow]) -> Json {
 pub fn run(args: &Args) -> Vec<Table> {
     let rows = collect(args);
     let leaks = collect_leaks(args);
-    emit_json(args.out_dir.as_deref(), "heap", &metrics_json(&rows, &leaks));
+    emit_json(
+        args.out_dir.as_deref(),
+        "heap",
+        &metrics_json(&rows, &leaks),
+    );
 
     let mut churn = Table::new(
         format!(
@@ -468,7 +464,8 @@ mod tests {
         );
         for l in &leaks {
             assert_eq!(
-                l.leaked_after, 0,
+                l.leaked_after,
+                0,
                 "crash at {:.0}%: leak survived recovery",
                 l.crash_frac * 100.0
             );

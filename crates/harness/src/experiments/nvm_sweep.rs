@@ -21,7 +21,10 @@ use nvm_traces::{RandomNum, Workload, WorkloadReport};
 pub fn technologies() -> Vec<(&'static str, LatencyModel)> {
     vec![
         ("STT-MRAM (~30ns wb)", LatencyModel::stt_mram()),
-        ("emulated NVM (300ns wb, paper)", LatencyModel::paper_default()),
+        (
+            "emulated NVM (300ns wb, paper)",
+            LatencyModel::paper_default(),
+        ),
         ("PCM (~500ns wb)", LatencyModel::pcm()),
     ]
 }
@@ -129,7 +132,10 @@ mod tests {
         }
         let spread = advantages.iter().cloned().fold(f64::MIN, f64::max)
             / advantages.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread < 1.3, "advantage unstable across technologies: {advantages:?}");
+        assert!(
+            spread < 1.3,
+            "advantage unstable across technologies: {advantages:?}"
+        );
         // technologies() is ordered by increasing write-back latency:
         // absolute group insert latency must rise with it.
         let lats: Vec<f64> = data.iter().map(|(_, g, _)| g.insert.avg_ns()).collect();

@@ -75,7 +75,10 @@ pub fn metrics_json(data: &[(SchemeKind, WorkloadReport, WorkloadReport)]) -> Js
     let mut runs = Vec::new();
     for (_, with, without) in data {
         runs.push(run_json(with, &[("stream_prefetcher", Json::from(true))]));
-        runs.push(run_json(without, &[("stream_prefetcher", Json::from(false))]));
+        runs.push(run_json(
+            without,
+            &[("stream_prefetcher", Json::from(false))],
+        ));
     }
     experiment_json("prefetch", runs)
 }

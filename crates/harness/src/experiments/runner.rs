@@ -89,8 +89,13 @@ fn run_generic<K: HashKey, V: Pod, T: Trace<Key = K>>(
     group_size: u64,
     value_of: impl FnMut(&K) -> V,
 ) -> WorkloadReport {
-    let (mut pm, mut table) =
-        build_any::<K, V>(scheme, total_cells, seed, SimConfig::paper_default(), group_size);
+    let (mut pm, mut table) = build_any::<K, V>(
+        scheme,
+        total_cells,
+        seed,
+        SimConfig::paper_default(),
+        group_size,
+    );
     Workload { load_factor, ops }.run(&mut pm, &mut table, &mut trace, value_of)
 }
 
@@ -135,8 +140,13 @@ fn utilization_generic<K: HashKey, V: Pod, T: Trace<Key = K>>(
     seed: u64,
     group_size: u64,
 ) -> f64 {
-    let (mut pm, mut table) =
-        build_any::<K, V>(scheme, total_cells, seed, SimConfig::paper_default(), group_size);
+    let (mut pm, mut table) = build_any::<K, V>(
+        scheme,
+        total_cells,
+        seed,
+        SimConfig::paper_default(),
+        group_size,
+    );
     loop {
         let k = trace.next_key();
         let v = V::zeroed();

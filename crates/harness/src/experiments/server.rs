@@ -72,13 +72,7 @@ pub struct ArmResult {
 }
 
 pub fn run(args: &Args) -> Vec<Table> {
-    let arms = [
-        (1usize, true),
-        (2, true),
-        (4, true),
-        (8, true),
-        (8, false),
-    ];
+    let arms = [(1usize, true), (2, true), (4, true), (8, true), (8, false)];
     let mut results = Vec::new();
     for (conns, coalesced) in arms {
         results.push(run_arm(conns, coalesced));

@@ -115,11 +115,7 @@ pub fn metrics_json(points: &[RecoveryPoint]) -> Json {
 pub fn run(args: &Args) -> Vec<Table> {
     let points: Vec<RecoveryPoint> = CAST
         .iter()
-        .flat_map(|&kind| {
-            sizes_mb(args)
-                .into_iter()
-                .map(move |mb| (kind, mb))
-        })
+        .flat_map(|&kind| sizes_mb(args).into_iter().map(move |mb| (kind, mb)))
         .map(|(kind, mb)| measure(kind, mb, args.seed, args.group_size))
         .collect();
     emit_json(args.out_dir.as_deref(), "table3", &metrics_json(&points));

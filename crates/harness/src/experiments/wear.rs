@@ -42,8 +42,13 @@ pub fn collect(args: &Args) -> Vec<WearRow> {
     SchemeKind::ALL
         .iter()
         .map(|&kind| {
-            let (mut pm, mut table) =
-                build_any::<u64, u64>(kind, cells, args.seed, SimConfig::paper_default(), args.group_size);
+            let (mut pm, mut table) = build_any::<u64, u64>(
+                kind,
+                cells,
+                args.seed,
+                SimConfig::paper_default(),
+                args.group_size,
+            );
             let mut trace = RandomNum::new(args.seed);
             let w = Workload {
                 load_factor: 0.5,
@@ -97,7 +102,12 @@ pub fn run(args: &Args) -> Vec<Table> {
             "Extension: NVM wear during {} insert+delete churn ops, RandomNum @ LF 0.5",
             args.ops * 10 * 2
         ),
-        &["scheme", "total write-backs", "hottest line", "max/mean skew"],
+        &[
+            "scheme",
+            "total write-backs",
+            "hottest line",
+            "max/mean skew",
+        ],
     );
     for r in &rows {
         t.row(vec![
@@ -133,7 +143,11 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} missing"))
                 .total_writebacks
         };
-        for (bare, logged) in [("linear", "linear-L"), ("PFHT", "PFHT-L"), ("path", "path-L")] {
+        for (bare, logged) in [
+            ("linear", "linear-L"),
+            ("PFHT", "PFHT-L"),
+            ("path", "path-L"),
+        ] {
             assert!(
                 get(logged) as f64 > 1.5 * get(bare) as f64,
                 "{logged} {} vs {bare} {}",

@@ -31,7 +31,13 @@ pub const CAST: [SchemeKind; 5] = [
 pub const LOAD_FACTOR: f64 = 0.5;
 
 /// One (scheme, mix, dist) arm.
-pub fn run_one(kind: SchemeKind, cells: u64, mix: YcsbMix, dist: KeyDist, args: &Args) -> YcsbReport {
+pub fn run_one(
+    kind: SchemeKind,
+    cells: u64,
+    mix: YcsbMix,
+    dist: KeyDist,
+    args: &Args,
+) -> YcsbReport {
     let (mut pm, mut table) = build_any::<u64, u64>(
         kind,
         cells,
@@ -163,7 +169,13 @@ mod tests {
             );
         }
         for r in &data {
-            assert_eq!(r.read.ops + r.update.ops, 60, "{} {}", r.scheme, r.mix.label());
+            assert_eq!(
+                r.read.ops + r.update.ops,
+                60,
+                "{} {}",
+                r.scheme,
+                r.mix.label()
+            );
             if r.mix == YcsbMix::C {
                 assert_eq!(r.update.ops, 0, "{}", r.scheme);
             }

@@ -87,10 +87,9 @@ impl SchemeKind {
 
     fn mode(self) -> ConsistencyMode {
         match self {
-            SchemeKind::LinearL
-            | SchemeKind::PfhtL
-            | SchemeKind::PathL
-            | SchemeKind::IcebergL => ConsistencyMode::UndoLog,
+            SchemeKind::LinearL | SchemeKind::PfhtL | SchemeKind::PathL | SchemeKind::IcebergL => {
+                ConsistencyMode::UndoLog
+            }
             _ => ConsistencyMode::None,
         }
     }
@@ -201,7 +200,14 @@ pub fn build_any<K: HashKey, V: Pod>(
                 Path,
                 PathHash::<SimPmem, K, V>::required_size(leaf_bits, levels),
                 sim,
-                |pm, region| PathHash::create(&mut pm, region, leaf_bits, levels, seed, kind.mode())
+                |pm, region| PathHash::create(
+                    &mut pm,
+                    region,
+                    leaf_bits,
+                    levels,
+                    seed,
+                    kind.mode()
+                )
             )
         }
         SchemeKind::Iceberg | SchemeKind::IcebergL => {
@@ -292,7 +298,10 @@ mod tests {
             let (_pm, t) = build_any::<u64, u64>(kind, 1 << 12, 1, SimConfig::fast_test(), 256);
             let cap = t.capacity();
             // PFHT carries the paper's 3% extra stash on top of the budget.
-            assert!(cap <= (1 << 12) + (1 << 12) * 3 / 100 + 1, "{kind:?}: {cap}");
+            assert!(
+                cap <= (1 << 12) + (1 << 12) * 3 / 100 + 1,
+                "{kind:?}: {cap}"
+            );
             assert!(cap >= (1 << 12) * 9 / 10, "{kind:?} wastes budget: {cap}");
         }
     }
@@ -300,13 +309,8 @@ mod tests {
     #[test]
     fn wide_items_build() {
         for kind in [SchemeKind::Group, SchemeKind::PfhtL, SchemeKind::Iceberg] {
-            let (mut pm, mut t) = build_any::<[u8; 16], [u8; 16]>(
-                kind,
-                1 << 8,
-                2,
-                SimConfig::fast_test(),
-                64,
-            );
+            let (mut pm, mut t) =
+                build_any::<[u8; 16], [u8; 16]>(kind, 1 << 8, 2, SimConfig::fast_test(), 64);
             let k = [9u8; 16];
             t.insert(&mut pm, k, k).unwrap();
             assert_eq!(t.get(&pm, &k), Some(k));

@@ -100,8 +100,7 @@ mod tests {
         // "The quick brown fox jumps over the lazy dog", seed 0 =>
         // 0x6c1b07bc7bbc4be347939ac4a93c437a (big-endian digest), i.e.
         // h1 = 0xe34bbc7bbc071b6c, h2 = 0x7a433ca9c49a9347 little-endian.
-        let (h1, h2) =
-            murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0);
+        let (h1, h2) = murmur3_x64_128(b"The quick brown fox jumps over the lazy dog", 0);
         assert_eq!(h1, 0xE34BBC7BBC071B6C);
         assert_eq!(h2, 0x7A433CA9C49A9347);
     }

@@ -79,12 +79,18 @@ pub fn xxhash64(data: &[u8], seed: u64) -> u64 {
 
     while rest.len() >= 8 {
         h ^= round(0, read_u64(rest));
-        h = h.rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
+        h = h
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
         rest = &rest[8..];
     }
     if rest.len() >= 4 {
         h ^= read_u32(rest).wrapping_mul(PRIME64_1);
-        h = h.rotate_left(23).wrapping_mul(PRIME64_2).wrapping_add(PRIME64_3);
+        h = h
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
         rest = &rest[4..];
     }
     for &byte in rest {

@@ -100,9 +100,7 @@ fn main() {
             }
             let builder = StoreBuilder::new().capacity(items, avg_value);
             let size = builder.shard_size::<SimPmem>();
-            let store = builder
-                .create_sim(sim_config())
-                .unwrap_or_else(|e| fail(e));
+            let store = builder.create_sim(sim_config()).unwrap_or_else(|e| fail(e));
             save(&pool, store);
             println!(
                 "created {} ({:.1} MiB, ~{items} entries x {avg_value}B values)",
@@ -138,9 +136,7 @@ fn main() {
                 usage();
             }
             let store = load(&pool);
-            let was_there = store
-                .delete(args[0].as_bytes())
-                .unwrap_or_else(|e| fail(e));
+            let was_there = store.delete(args[0].as_bytes()).unwrap_or_else(|e| fail(e));
             save(&pool, store);
             if !was_there {
                 eprintln!("ghkv: key not found");

@@ -46,9 +46,7 @@ mod store;
 
 pub mod prelude;
 
-pub use store::{
-    Store, StoreBuilder, StoreCounters, StoreError, StoreReadView, WriteTicket,
-};
+pub use store::{Store, StoreBuilder, StoreCounters, StoreError, StoreReadView, WriteTicket};
 
 /// Magic word identifying a KV header ("NVKVSTR2": records open with a
 /// u16 key length; "NVKVSTR1" pools used a u32 and are refused).
@@ -291,8 +289,8 @@ impl<P: Pmem> PmemKv<P> {
     /// Creates a fresh store in `region`.
     pub fn create(pm: &mut P, region: Region, config: &KvConfig) -> Result<Self, KvError> {
         let (header_r, index_r, heap_r) = Self::split(region, config)?;
-        let index = GroupHash::create(pm, index_r, Self::index_config(config))
-            .map_err(KvError::Table)?;
+        let index =
+            GroupHash::create(pm, index_r, Self::index_config(config)).map_err(KvError::Table)?;
         let heap = PmemHeap::create(pm, heap_r, &HeapConfig::balanced(config.heap_bytes))
             .map_err(KvError::Heap)?;
         // Self-describing header: config words first, magic last.
@@ -759,8 +757,13 @@ mod tests {
     fn update_replaces_and_reclaims() {
         let (mut pm, mut kv, _, _) = setup(100);
         set(&mut kv, &mut pm, b"k", b"small").unwrap();
-        set(&mut kv, &mut pm, b"k", b"a much longer value that needs a bigger class")
-            .unwrap();
+        set(
+            &mut kv,
+            &mut pm,
+            b"k",
+            b"a much longer value that needs a bigger class",
+        )
+        .unwrap();
         assert_eq!(
             get(&kv, &pm, b"k").as_deref(),
             Some(&b"a much longer value that needs a bigger class"[..])
@@ -937,7 +940,10 @@ mod tests {
                 }
                 // After recovery there are never leaks left behind.
                 let (entries, slots) = kv.usage(&pm);
-                assert_eq!(entries, slots, "{name} at +{at}: leak survived gc ({leaks})");
+                assert_eq!(
+                    entries, slots,
+                    "{name} at +{at}: leak survived gc ({leaks})"
+                );
                 if done {
                     break;
                 }
@@ -1054,8 +1060,13 @@ mod tests {
         // sparse and the drainer's compactor has real work to do.
         let n = 24u32;
         for i in 0..n {
-            set(&mut kv0, &mut pm0, format!("gk-{i}").as_bytes(), &[i as u8; 20])
-                .unwrap();
+            set(
+                &mut kv0,
+                &mut pm0,
+                format!("gk-{i}").as_bytes(),
+                &[i as u8; 20],
+            )
+            .unwrap();
         }
         let survivors: Vec<u32> = (0..n).filter(|i| i % 6 == 0).collect();
         for i in 0..n {
@@ -1088,10 +1099,7 @@ mod tests {
             pm.set_crash_plan(Some(CrashPlan {
                 at_event: base + at,
             }));
-            let done = run_with_crash(|| {
-                while kv.gc_step(&mut pm, 4).unwrap() {}
-            })
-            .is_ok();
+            let done = run_with_crash(|| while kv.gc_step(&mut pm, 4).unwrap() {}).is_ok();
             pm.crash(CrashResolution::Random(at));
 
             // A crash mid-compaction may leave the moved blob's old or
@@ -1125,13 +1133,23 @@ mod tests {
     fn read_view_reads_through_a_bare_handle() {
         let (mut pm, mut kv, _, _) = setup(200);
         for i in 0..100u32 {
-            set(&mut kv, &mut pm, format!("rv-{i}").as_bytes(), &[i as u8; 12]).unwrap();
+            set(
+                &mut kv,
+                &mut pm,
+                format!("rv-{i}").as_bytes(),
+                &[i as u8; 12],
+            )
+            .unwrap();
         }
         let view = kv.read_view();
         let reader = pm.read_handle();
         for i in 0..100u32 {
             let key = format!("rv-{i}");
-            assert_eq!(view.get(&reader, key.as_bytes()), Some(vec![i as u8; 12]), "{key}");
+            assert_eq!(
+                view.get(&reader, key.as_bytes()),
+                Some(vec![i as u8; 12]),
+                "{key}"
+            );
             assert!(view.contains(&reader, key.as_bytes()));
         }
         assert_eq!(view.get(&reader, b"absent"), None);

@@ -10,8 +10,8 @@
 //! boundary `ci.sh` lints.
 
 pub use crate::{
-    KvConfig, KvError, KvReadView, Store, StoreBuilder, StoreCounters, StoreError,
-    StoreReadView, WriteTicket,
+    KvConfig, KvError, KvReadView, Store, StoreBuilder, StoreCounters, StoreError, StoreReadView,
+    WriteTicket,
 };
 pub use group_hash::FpMode;
 pub use nvm_table::ConsistencyMode;

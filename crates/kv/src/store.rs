@@ -130,11 +130,7 @@ impl WriteTicket {
     }
 
     fn fulfill(&self, r: Result<bool, StoreError>) {
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut s = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
         *s = Some(r);
         self.inner.cv.notify_all();
     }
@@ -150,20 +146,12 @@ impl WriteTicket {
 
     /// Blocks until the op commits (someone must be pumping).
     pub fn wait(&self) -> Result<bool, StoreError> {
-        let mut s = self
-            .inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let mut s = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(r) = s.clone() {
                 return r;
             }
-            s = self
-                .inner
-                .cv
-                .wait(s)
-                .unwrap_or_else(|e| e.into_inner());
+            s = self.inner.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -371,13 +359,14 @@ impl<P: Pmem> Store<P> {
                 continue;
             }
             let subset: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
-            let answers =
-                self.core.shards[s].read(|view, pm| view.get_batch(pm, &subset));
+            let answers = self.core.shards[s].read(|view, pm| view.get_batch(pm, &subset));
             for (&i, a) in idxs.iter().zip(answers) {
                 out[i] = a;
             }
         }
-        self.core.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        self.core
+            .gets
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
         let hits = out.iter().filter(|a| a.is_some()).count() as u64;
         self.core.get_hits.fetch_add(hits, Ordering::Relaxed);
         out
@@ -511,10 +500,7 @@ impl<P: Pmem> Store<P> {
 
     /// Stores many pairs through one staged group commit.
     pub fn set_batch(&self, items: &[(&[u8], &[u8])]) -> Result<(), StoreError> {
-        let tickets: Vec<WriteTicket> = items
-            .iter()
-            .map(|(k, v)| self.stage_set(k, v))
-            .collect();
+        let tickets: Vec<WriteTicket> = items.iter().map(|(k, v)| self.stage_set(k, v)).collect();
         self.pump();
         for t in tickets {
             t.wait()?;
@@ -532,8 +518,7 @@ impl<P: Pmem> Store<P> {
     /// Deletes many keys through one staged group commit; returns how
     /// many were present and removed.
     pub fn delete_batch(&self, keys: &[&[u8]]) -> Result<usize, StoreError> {
-        let tickets: Vec<WriteTicket> =
-            keys.iter().map(|k| self.stage_delete(k)).collect();
+        let tickets: Vec<WriteTicket> = keys.iter().map(|k| self.stage_delete(k)).collect();
         self.pump();
         let mut removed = 0;
         for t in tickets {
@@ -1027,8 +1012,7 @@ mod tests {
                 .shards(shards)
                 .create_sim(SimConfig::fast_test())
                 .unwrap();
-            let keys: Vec<Vec<u8>> =
-                (0..100u32).map(|i| format!("k{i}").into_bytes()).collect();
+            let keys: Vec<Vec<u8>> = (0..100u32).map(|i| format!("k{i}").into_bytes()).collect();
             let vals: Vec<Vec<u8>> = (0..100u32)
                 .map(|i| vec![i as u8; (i % 50) as usize])
                 .collect();
@@ -1188,7 +1172,10 @@ mod tests {
         // The drained ticket resolves (with an error) instead of
         // stranding its waiter, and leadership is released so later
         // stagers can elect a new leader.
-        assert!(matches!(ticket.wait(), Err(StoreError::Kv(KvError::Corrupt(_)))));
+        assert!(matches!(
+            ticket.wait(),
+            Err(StoreError::Kv(KvError::Corrupt(_)))
+        ));
         assert!(!shard.staged.lock().leader_active);
         assert_eq!(shard.seq.load(Ordering::Relaxed) & 1, 0);
         // The store keeps serving.
@@ -1297,8 +1284,16 @@ mod tests {
             store.set(k.as_bytes(), b"v").unwrap();
         }
         let reg = store.metrics().to_json();
-        let ops = reg.get("index").and_then(|j| j.get("batch")).and_then(|j| j.get("ops"));
-        assert_eq!(ops.and_then(|j| j.as_u64()), Some(n), "{}", reg.to_string_pretty());
+        let ops = reg
+            .get("index")
+            .and_then(|j| j.get("batch"))
+            .and_then(|j| j.get("ops"));
+        assert_eq!(
+            ops.and_then(|j| j.as_u64()),
+            Some(n),
+            "{}",
+            reg.to_string_pretty()
+        );
     }
 
     #[test]
@@ -1346,7 +1341,11 @@ mod tests {
         assert!(too_large(bad.wait().map(|_| ())));
         assert_eq!(good.wait(), Ok(true));
         assert_eq!(store.get(b"after").as_deref(), Some(&b"2"[..]));
-        assert_eq!(store.usage(), (2, 2), "a refused record must not touch the pool");
+        assert_eq!(
+            store.usage(),
+            (2, 2),
+            "a refused record must not touch the pool"
+        );
         store.check_consistency().unwrap();
     }
 }

@@ -182,7 +182,11 @@ impl Histogram {
             let before = cum;
             cum += n;
             if (cum as f64) >= rank {
-                let lo = if i == 0 { 0.0 } else { self.uppers[i - 1] as f64 };
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    self.uppers[i - 1] as f64
+                };
                 let hi = if i < self.uppers.len() {
                     self.uppers[i] as f64
                 } else {
@@ -404,7 +408,9 @@ mod tests {
         h.record(1);
         h.record(9);
         let j = h.to_json();
-        for key in ["count", "sum", "mean", "min", "max", "p50", "p95", "p99", "buckets"] {
+        for key in [
+            "count", "sum", "mean", "min", "max", "p50", "p95", "p99", "buckets",
+        ] {
             assert!(j.get(key).is_some(), "missing key {key}");
         }
         match j.get("buckets") {

@@ -345,7 +345,11 @@ mod tests {
         assert_eq!(a.batch.flushes.get(), 132);
         let per_op = a.batch.fences_per_op().unwrap();
         assert!(per_op < 3.0, "batching must beat 3 fences/op, got {per_op}");
-        assert!(a.to_json().get("batch").and_then(|x| x.get("ops")).is_some());
+        assert!(a
+            .to_json()
+            .get("batch")
+            .and_then(|x| x.get("ops"))
+            .is_some());
         a.reset();
         assert_eq!(a.batch.batches.get(), 0);
     }

@@ -139,8 +139,13 @@ mod tests {
 
     #[test]
     fn presets_differ_in_write_latency() {
-        assert!(LatencyModel::pcm().nvm_writeback_ns > LatencyModel::paper_default().nvm_writeback_ns);
-        assert!(LatencyModel::stt_mram().nvm_writeback_ns < LatencyModel::paper_default().nvm_writeback_ns);
+        assert!(
+            LatencyModel::pcm().nvm_writeback_ns > LatencyModel::paper_default().nvm_writeback_ns
+        );
+        assert!(
+            LatencyModel::stt_mram().nvm_writeback_ns
+                < LatencyModel::paper_default().nvm_writeback_ns
+        );
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub enum CrashResolution {
     /// (in address order), starting with `persist_first`. Guarantees
     /// *mixed* outcomes — e.g. a commit flag persisting while its record
     /// does not — that random seeds may happen to miss.
-    Alternate {
-        persist_first: bool,
-    },
+    Alternate { persist_first: bool },
 }
 
 static HOOK_INIT: Once = Once::new();

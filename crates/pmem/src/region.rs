@@ -39,7 +39,11 @@ impl Region {
 
     /// Splits off the first `n` bytes.
     pub fn take_prefix(&mut self, n: usize) -> Region {
-        assert!(n <= self.len, "prefix {n} exceeds region length {}", self.len);
+        assert!(
+            n <= self.len,
+            "prefix {n} exceeds region length {}",
+            self.len
+        );
         let r = Region::new(self.off, n);
         self.off += n;
         self.len -= n;

@@ -1137,7 +1137,10 @@ mod tests {
         p.reset_stats();
         p.prefetch(0, 256);
         let s = p.stats();
-        assert_eq!((s.reads, s.writes, s.flushes, s.fences, s.atomic_writes), (0, 0, 0, 0, 0));
+        assert_eq!(
+            (s.reads, s.writes, s.flushes, s.fences, s.atomic_writes),
+            (0, 0, 0, 0, 0)
+        );
         // It does cost (a little) simulated time, and does touch the cache.
         assert!(p.sim_time_ns().unwrap() > 0);
         assert!(p.cache_stats().unwrap().reads >= 4, "4 lines installed");

@@ -55,8 +55,8 @@ fn main() {
         .create_with(|_, size| RealPmem::with_write_latency(size, latency_ns))
         .unwrap_or_else(|e| die(&format!("store create failed: {e}")));
 
-    let handle = serve(store, &config)
-        .unwrap_or_else(|e| die(&format!("bind {} failed: {e}", config.addr)));
+    let handle =
+        serve(store, &config).unwrap_or_else(|e| die(&format!("bind {} failed: {e}", config.addr)));
     println!(
         "nvm-server listening on {} ({} workers, {} shards, group commit {})",
         handle.addr(),

@@ -110,9 +110,7 @@ pub fn parse(buf: &[u8]) -> Parsed<'_> {
     if line.last() == Some(&b'\r') {
         line = &line[..line.len() - 1];
     }
-    let mut tokens = line
-        .split(|&b| b == b' ')
-        .filter(|t| !t.is_empty());
+    let mut tokens = line.split(|&b| b == b' ').filter(|t| !t.is_empty());
     let Some(verb) = tokens.next() else {
         // Empty line: consume it quietly (nc users hitting return).
         return Parsed::Error {

@@ -49,7 +49,9 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            workers: thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
             coalesce: true,
         }
     }

@@ -291,9 +291,18 @@ impl Session {
             ("set", &stats.set_ns),
             ("delete", &stats.delete_ns),
         ] {
-            stat(&format!("{name}_p50_us"), format!("{:.1}", h.p50() / 1000.0));
-            stat(&format!("{name}_p95_us"), format!("{:.1}", h.p95() / 1000.0));
-            stat(&format!("{name}_p99_us"), format!("{:.1}", h.p99() / 1000.0));
+            stat(
+                &format!("{name}_p50_us"),
+                format!("{:.1}", h.p50() / 1000.0),
+            );
+            stat(
+                &format!("{name}_p95_us"),
+                format!("{:.1}", h.p95() / 1000.0),
+            );
+            stat(
+                &format!("{name}_p99_us"),
+                format!("{:.1}", h.p99() / 1000.0),
+            );
         }
         s.push_str("END\r\n");
         self.out.extend_from_slice(s.as_bytes());

@@ -57,7 +57,10 @@ impl ServerStats {
         j.insert("get_ns", self.get_ns.to_json())
             .insert("set_ns", self.set_ns.to_json())
             .insert("delete_ns", self.delete_ns.to_json())
-            .insert("conns_accepted", self.conns_accepted.load(Ordering::Relaxed))
+            .insert(
+                "conns_accepted",
+                self.conns_accepted.load(Ordering::Relaxed),
+            )
             .insert("conns_closed", self.conns_closed.load(Ordering::Relaxed))
             .insert(
                 "protocol_errors",

@@ -11,17 +11,23 @@
 use std::collections::HashMap;
 
 use nvm_kv::prelude::*;
-use nvm_pmem::{
-    CrashPlan, CrashResolution, Pmem, SimConfig, SimPmem, run_with_crash,
-};
+use nvm_pmem::{run_with_crash, CrashPlan, CrashResolution, Pmem, SimConfig, SimPmem};
 use nvm_server::{ServerStats, Session};
 
 /// One scripted client operation.
 #[derive(Debug, Clone)]
 enum Op {
-    Set { key: Vec<u8>, flags: u32, data: Vec<u8> },
-    Get { keys: Vec<Vec<u8>> },
-    Delete { key: Vec<u8> },
+    Set {
+        key: Vec<u8>,
+        flags: u32,
+        data: Vec<u8>,
+    },
+    Get {
+        keys: Vec<Vec<u8>>,
+    },
+    Delete {
+        key: Vec<u8>,
+    },
 }
 
 /// Tiny deterministic generator — no clock, no global RNG.
@@ -229,8 +235,7 @@ fn oversize_set_payload_is_never_executed_as_commands() {
     // An over-MAX_VALUE payload crafted to look like commands: if the
     // refusal failed to consume the data block, the connection would
     // desync and store `sneaky`.
-    let payload = b"set sneaky 0 0 2\r\nhi\r\n"
-        .repeat(nvm_server::protocol::MAX_VALUE / 22 + 1);
+    let payload = b"set sneaky 0 0 2\r\nhi\r\n".repeat(nvm_server::protocol::MAX_VALUE / 22 + 1);
     let mut wire = format!("set big 0 0 {}\r\n", payload.len()).into_bytes();
     wire.extend_from_slice(&payload);
     wire.extend_from_slice(b"\r\nget sneaky big\r\n");
@@ -328,7 +333,10 @@ fn crash_while_serving_recovers_with_acked_writes_intact() {
         for i in 0..24u32 {
             let key = format!("base:{i:02}").into_bytes();
             let got = store.get(&key).unwrap_or_else(|| {
-                panic!("acked key {} lost (crash at {at})", String::from_utf8_lossy(&key))
+                panic!(
+                    "acked key {} lost (crash at {at})",
+                    String::from_utf8_lossy(&key)
+                )
             });
             let (flags, data) = (
                 u32::from_le_bytes([got[0], got[1], got[2], got[3]]),

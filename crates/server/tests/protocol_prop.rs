@@ -82,8 +82,12 @@ fn render(op: &GenOp, out: &mut Vec<u8>) {
     match op {
         GenOp::Set { key, flags, data } => {
             out.extend_from_slice(
-                format!("set {} {flags} 0 {}\r\n", String::from_utf8_lossy(key), data.len())
-                    .as_bytes(),
+                format!(
+                    "set {} {flags} 0 {}\r\n",
+                    String::from_utf8_lossy(key),
+                    data.len()
+                )
+                .as_bytes(),
             );
             out.extend_from_slice(data);
             out.extend_from_slice(b"\r\n");
@@ -127,7 +131,11 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
 }
 
 fn op_strategy() -> impl Strategy<Value = GenOp> {
-    let set = (key_strategy(), any::<u32>(), prop::collection::vec(any::<u8>(), 0..80))
+    let set = (
+        key_strategy(),
+        any::<u32>(),
+        prop::collection::vec(any::<u8>(), 0..80),
+    )
         .prop_map(|(key, flags, data)| GenOp::Set { key, flags, data });
     let get = (prop::collection::vec(key_strategy(), 1..5), any::<bool>())
         .prop_map(|(keys, with_cas)| GenOp::Get { keys, with_cas });

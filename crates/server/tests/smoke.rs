@@ -25,7 +25,10 @@ fn roundtrip(stream: &mut TcpStream, send: &[u8], terminator: &[u8]) -> Vec<u8> 
                     break;
                 }
             }
-            Err(e) => panic!("read failed: {e} (got {:?})", String::from_utf8_lossy(&reply)),
+            Err(e) => panic!(
+                "read failed: {e} (got {:?})",
+                String::from_utf8_lossy(&reply)
+            ),
         }
     }
     reply
@@ -100,7 +103,10 @@ fn loopback_session_and_clean_shutdown() {
     );
 
     // Unknown command answers ERROR without killing the connection.
-    assert_eq!(roundtrip(&mut c, b"flush_all\r\n", b"ERROR\r\n"), b"ERROR\r\n");
+    assert_eq!(
+        roundtrip(&mut c, b"flush_all\r\n", b"ERROR\r\n"),
+        b"ERROR\r\n"
+    );
 
     // stats reports the counters this session produced.
     let reply = roundtrip(&mut c, b"stats\r\n", b"END\r\n");

@@ -99,8 +99,9 @@ pub fn exhaust_crash_points(spec: CrashCheck<'_>) -> Result<CrashReport, TableEr
                 break; // every interior event of the op has been scanned
             }
             pm.crash(how);
-            (spec.recover_and_check)(&mut pm)
-                .map_err(|e| TableError::Corrupt(format!("crash at +{event} under {how:?}: {e}")))?;
+            (spec.recover_and_check)(&mut pm).map_err(|e| {
+                TableError::Corrupt(format!("crash at +{event} under {how:?}: {e}"))
+            })?;
             cases += 1;
             event += 1;
             if event > spec.max_events {
@@ -180,7 +181,10 @@ mod tests {
             max_events: 50,
         })
         .unwrap_err();
-        assert!(err.to_string().contains("flag set but record missing"), "{err}");
+        assert!(
+            err.to_string().contains("flag set but record missing"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -201,7 +205,9 @@ mod tests {
             },
             recover_and_check: &|pm| {
                 if pm.read_u64(0) == 1 && pm.read_u64(64) != u64::from_le_bytes([9; 8]) {
-                    return Err(TableError::Corrupt("record not durable despite flag".into()));
+                    return Err(TableError::Corrupt(
+                        "record not durable despite flag".into(),
+                    ));
                 }
                 Ok(())
             },

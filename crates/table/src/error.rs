@@ -78,11 +78,19 @@ mod tests {
     #[test]
     fn display_preserves_message_detail() {
         assert_eq!(
-            TableError::RegionTooSmall { have: 64, need: 4096 }.to_string(),
+            TableError::RegionTooSmall {
+                have: 64,
+                need: 4096
+            }
+            .to_string(),
             "region too small: 64 < 4096"
         );
         assert_eq!(
-            TableError::MagicMismatch { found: 0xbad, expected: 0xf00d }.to_string(),
+            TableError::MagicMismatch {
+                found: 0xbad,
+                expected: 0xf00d
+            }
+            .to_string(),
             "header magic mismatch: found 0xbad, expected 0xf00d"
         );
         assert_eq!(

@@ -74,7 +74,10 @@ impl TableHeader {
     ) -> Result<Self, TableError> {
         let magic = pm.read_u64(region.off + OFF_MAGIC);
         if magic != expected_magic {
-            return Err(TableError::MagicMismatch { found: magic, expected: expected_magic });
+            return Err(TableError::MagicMismatch {
+                found: magic,
+                expected: expected_magic,
+            });
         }
         Ok(TableHeader { region })
     }

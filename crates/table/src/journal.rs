@@ -111,7 +111,10 @@ impl Journal {
             return usize::MAX;
         };
         let budget = log.region().len.saturating_sub(64);
-        let fixed: usize = fixed_record_lens.iter().map(|&l| Self::record_cost(l)).sum();
+        let fixed: usize = fixed_record_lens
+            .iter()
+            .map(|&l| Self::record_cost(l))
+            .sum();
         let per_op: usize = op_record_lens.iter().map(|&l| Self::record_cost(l)).sum();
         (budget.saturating_sub(fixed) / per_op.max(1)).max(1)
     }

@@ -210,12 +210,7 @@ where
 /// (the [`migrate_step`] layout): same dedup rule, the destination is
 /// probed through its own pool. Returns the number of duplicates evicted
 /// from the source.
-pub fn migrate_recover_split<P, K, V, S>(
-    src_pm: &mut P,
-    dst_pm: &P,
-    src: &mut S,
-    dst: &S,
-) -> u64
+pub fn migrate_recover_split<P, K, V, S>(src_pm: &mut P, dst_pm: &P, src: &mut S, dst: &S) -> u64
 where
     P: Pmem,
     K: HashKey,

@@ -35,7 +35,10 @@ impl GroupPlan {
     pub fn new(group_size: u64, n_groups: u64) -> Self {
         debug_assert!(group_size.is_power_of_two());
         debug_assert!(n_groups > 0);
-        GroupPlan { group_size, n_groups }
+        GroupPlan {
+            group_size,
+            n_groups,
+        }
     }
 
     /// Cells in one level (`group_size * n_groups`).
@@ -138,7 +141,11 @@ impl PfhtPlan {
     pub fn new(n_buckets: u64, bucket_cells: u64, stash_cells: u64) -> Self {
         debug_assert!(n_buckets.is_power_of_two());
         debug_assert!(bucket_cells > 0);
-        PfhtPlan { n_buckets, bucket_cells, stash_cells }
+        PfhtPlan {
+            n_buckets,
+            bucket_cells,
+            stash_cells,
+        }
     }
 
     /// Number of buckets.
@@ -209,7 +216,11 @@ impl PathPlan {
             level_base.push(base);
             base += 1u64 << (leaf_bits - i);
         }
-        PathPlan { leaf_bits, levels, level_base }
+        PathPlan {
+            leaf_bits,
+            levels,
+            level_base,
+        }
     }
 
     /// Total cells of a `(leaf_bits, levels)` tree.
@@ -310,7 +321,11 @@ impl IcebergPlan {
         debug_assert!(l1_buckets.is_power_of_two());
         debug_assert!(l2_buckets.is_power_of_two());
         debug_assert!(backyard_buckets.is_power_of_two());
-        IcebergPlan { l1_buckets, l2_buckets, backyard_buckets }
+        IcebergPlan {
+            l1_buckets,
+            l2_buckets,
+            backyard_buckets,
+        }
     }
 
     /// Level-1 bucket count.
@@ -348,7 +363,10 @@ impl IcebergPlan {
     /// (power-of-two-choices) and probes both on lookup.
     pub fn l2_pair(&self, h2: u64, h3: u64) -> (u64, u64) {
         let base = self.l1_buckets;
-        (base + (h2 & (self.l2_buckets - 1)), base + (h3 & (self.l2_buckets - 1)))
+        (
+            base + (h2 & (self.l2_buckets - 1)),
+            base + (h3 & (self.l2_buckets - 1)),
+        )
     }
 
     /// First global bucket index of the backyard.
@@ -614,7 +632,10 @@ mod tests {
         let p = LinearPlan::new(8);
         assert_eq!(p.home(0x1234_5678), 0x1234_5678 & 7);
         assert_eq!(p.step(7), 0);
-        assert_eq!(p.sequence(6).collect::<Vec<_>>(), vec![6, 7, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(
+            p.sequence(6).collect::<Vec<_>>(),
+            vec![6, 7, 0, 1, 2, 3, 4, 5]
+        );
     }
 
     #[test]
@@ -628,10 +649,8 @@ mod tests {
                     if i == hole {
                         continue;
                     }
-                    let path_hits_hole = p
-                        .sequence(home)
-                        .take_while(|&c| c != i)
-                        .any(|c| c == hole);
+                    let path_hits_hole =
+                        p.sequence(home).take_while(|&c| c != i).any(|c| c == hole);
                     assert_eq!(
                         LinearPlan::must_stay(hole, home, i),
                         !path_hits_hole,
@@ -681,7 +700,10 @@ mod tests {
         // Leaves 2 and 3 share ancestors from level 1 up.
         assert_eq!(p.path_cells(2, 3).collect::<Vec<_>>(), vec![2, 3, 9, 12]);
         // Distinct paths all the way up to the last kept level.
-        assert_eq!(p.path_cells(0, 7).collect::<Vec<_>>(), vec![0, 7, 8, 11, 12, 13]);
+        assert_eq!(
+            p.path_cells(0, 7).collect::<Vec<_>>(),
+            vec![0, 7, 8, 11, 12, 13]
+        );
         // Same leaf twice: each cell once.
         assert_eq!(p.path_cells(4, 4).collect::<Vec<_>>(), vec![4, 10, 13]);
     }
@@ -739,7 +761,10 @@ mod tests {
         let (a, b) = p.l2_pair(h2, h3);
         assert!(p.cell_reachable(p.cell(a, 3), h1, h2, h3));
         assert!(p.cell_reachable(p.cell(b, 3), h1, h2, h3));
-        assert!(!p.cell_reachable(p.cell(8 + 1, 0), h1, 2, 2), "bucket 9 not in pair for (2,2)");
+        assert!(
+            !p.cell_reachable(p.cell(8 + 1, 0), h1, 2, 2),
+            "bucket 9 not in pair for (2,2)"
+        );
         // Backyard: every bucket is on the overflow chain.
         for by in p.backyard_base()..p.n_buckets() {
             assert!(p.cell_reachable(p.cell(by, 7), h1, h2, h3));

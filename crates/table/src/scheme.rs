@@ -45,7 +45,11 @@ pub struct BatchError {
 
 impl std::fmt::Display for BatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "batch stopped after {} ops: {}", self.committed, self.error)
+        write!(
+            f,
+            "batch stopped after {} ops: {}",
+            self.committed, self.error
+        )
     }
 }
 

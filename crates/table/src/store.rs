@@ -49,7 +49,12 @@ impl<K: Pod, V: Pod> CellStore<K, V> {
     /// Creates a store over `n` cells: zeroes + persists the bitmap,
     /// attaches the cell array (cells are assumed zeroed, as in a fresh
     /// pool).
-    pub fn create<P: Pmem>(pm: &mut P, bitmap_region: Region, cells_region: Region, n: u64) -> Self {
+    pub fn create<P: Pmem>(
+        pm: &mut P,
+        bitmap_region: Region,
+        cells_region: Region,
+        n: u64,
+    ) -> Self {
         CellStore {
             bitmap: PmemBitmap::create(pm, bitmap_region, n),
             cells: CellArray::attach(cells_region, n),
@@ -324,7 +329,10 @@ impl<K: Pod, V: Pod> BatchSession<K, V> {
         store: CellStore<K, V>,
         idx: u64,
     ) {
-        debug_assert!(!self.is_retracted(&store, idx), "cell {idx} retracted twice");
+        debug_assert!(
+            !self.is_retracted(&store, idx),
+            "cell {idx} retracted twice"
+        );
         journal.record(pm, store.bitmap.word_off_of(idx), 8);
         journal.record(pm, store.cells.cell_off(idx), store.cells.entry_len());
         self.retracted.insert(Self::cell_key(&store, idx));
@@ -362,7 +370,9 @@ impl<K: Pod, V: Pod> BatchSession<K, V> {
             pm.fence(); // drain: every staged cell is durable before any bit flips
         }
         for &(store, kind, idx) in &self.ops {
-            store.bitmap.set_volatile(pm, idx, kind == BatchOpKind::Publish);
+            store
+                .bitmap
+                .set_volatile(pm, idx, kind == BatchOpKind::Publish);
             pm.flush(store.bitmap.word_off_of(idx), 8);
             if !logged {
                 // The prefix point: ops before this fence are durable, at

@@ -47,7 +47,9 @@ fn group_pool_fp(
         ConsistencyMode::None => CommitStrategy::AtomicBitmap,
         ConsistencyMode::UndoLog => CommitStrategy::UndoLog,
     };
-    let cfg = GroupHashConfig::new(cells, 16).with_commit(commit).with_fp_mode(fp);
+    let cfg = GroupHashConfig::new(cells, 16)
+        .with_commit(commit)
+        .with_fp_mode(fp);
     let size = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
     let mut pm = SimPmem::new(size, SimConfig::fast_test());
     let t = GroupHash::create(&mut pm, Region::new(0, size), cfg).unwrap();
@@ -130,7 +132,8 @@ fn basic_ops<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
     assert!(!t.remove(pm, &42), "{label}: remove on empty");
 
     for k in 0..60u64 {
-        t.insert(pm, k, k * 3).unwrap_or_else(|e| panic!("{label}: insert {k}: {e}"));
+        t.insert(pm, k, k * 3)
+            .unwrap_or_else(|e| panic!("{label}: insert {k}: {e}"));
     }
     assert_eq!(t.len(pm), 60, "{label}");
     for k in 0..60u64 {
@@ -141,8 +144,16 @@ fn basic_ops<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
     assert!(t.load_factor(pm) > 0.0 && t.load_factor(pm) <= 1.0);
 
     // Duplicate handling: insert_unique refuses and leaves state intact.
-    assert_eq!(t.insert_unique(pm, 7, 1), Err(InsertError::DuplicateKey), "{label}");
-    assert_eq!(t.get(pm, &7), Some(21), "{label}: duplicate must not clobber");
+    assert_eq!(
+        t.insert_unique(pm, 7, 1),
+        Err(InsertError::DuplicateKey),
+        "{label}"
+    );
+    assert_eq!(
+        t.get(pm, &7),
+        Some(21),
+        "{label}: duplicate must not clobber"
+    );
     assert_eq!(t.len(pm), 60, "{label}: duplicate must not grow the table");
 
     // Delete half, verify the survivors and the holes.
@@ -160,13 +171,15 @@ fn basic_ops<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
 
     // Holes must be reusable.
     for k in 0..30u64 {
-        t.insert(pm, k, k + 1000).unwrap_or_else(|e| panic!("{label}: reinsert {k}: {e}"));
+        t.insert(pm, k, k + 1000)
+            .unwrap_or_else(|e| panic!("{label}: reinsert {k}: {e}"));
     }
     assert_eq!(t.len(pm), 60, "{label}");
     for k in 0..30u64 {
         assert_eq!(t.get(pm, &k), Some(k + 1000), "{label}: reinserted {k}");
     }
-    t.check_consistency(pm).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.check_consistency(pm)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// Fill until `TableFull`; the table must fail gracefully and keep every
@@ -183,7 +196,10 @@ fn full_table<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
             Err(InsertError::TableFull) => break,
             Err(e) => panic!("{label}: unexpected {e}"),
         }
-        assert!((k as usize) < 2 * cap as usize + 16, "{label}: never reported full");
+        assert!(
+            (k as usize) < 2 * cap as usize + 16,
+            "{label}: never reported full"
+        );
     }
     assert_eq!(t.len(pm), stored.len() as u64, "{label}");
     assert!(t.len(pm) <= cap, "{label}: len above capacity");
@@ -193,9 +209,14 @@ fn full_table<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
         stored.len()
     );
     for (key, v) in &stored {
-        assert_eq!(t.get(pm, key), Some(*v), "{label}: key {key} lost during fill");
+        assert_eq!(
+            t.get(pm, key),
+            Some(*v),
+            "{label}: key {key} lost during fill"
+        );
     }
-    t.check_consistency(pm).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.check_consistency(pm)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// Contents survive a drop + reopen of the pool bytes.
@@ -218,7 +239,8 @@ fn persists_across_reopen<S: HashScheme<SimPmem, u64, u64>>(
         let want = if k == 11 { None } else { Some(k * 7) };
         assert_eq!(t.get(&pm, &k), want, "{label}: key {k} after reopen");
     }
-    t.check_consistency(&pm).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.check_consistency(&pm)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// Crash at every pmem event inside one `op`, then reopen + recover. After
@@ -243,7 +265,9 @@ fn crash_loop<S: HashScheme<SimPmem, u64, u64>>(
         let mut pm = pm0.clone();
         let mut t = open(&mut pm);
         let base = pm.events();
-        pm.set_crash_plan(Some(CrashPlan { at_event: base + at }));
+        pm.set_crash_plan(Some(CrashPlan {
+            at_event: base + at,
+        }));
         let done = run_with_crash(|| op(&mut pm, &mut t)).is_ok();
         if done {
             break;
@@ -270,9 +294,11 @@ fn crash_loop<S: HashScheme<SimPmem, u64, u64>>(
 /// remove batch, and absent keys counting zero.
 fn batch_ops<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
     let label = t.name();
-    t.insert_batch(pm, &[]).unwrap_or_else(|e| panic!("{label}: empty batch: {e}"));
+    t.insert_batch(pm, &[])
+        .unwrap_or_else(|e| panic!("{label}: empty batch: {e}"));
     let items: Vec<(u64, u64)> = (0..48u64).map(|k| (k, k * 3)).collect();
-    t.insert_batch(pm, &items).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.insert_batch(pm, &items)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert_eq!(t.len(pm), 48, "{label}");
     for (k, v) in &items {
         assert_eq!(t.get(pm, k), Some(*v), "{label}: key {k}");
@@ -284,7 +310,8 @@ fn batch_ops<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut S) {
         assert_eq!(t.get(pm, &k), None, "{label}: removed {k}");
     }
     assert_eq!(t.len(pm), 45, "{label}");
-    t.check_consistency(pm).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.check_consistency(pm)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// Batch insert into a table too small for the batch: the error reports
@@ -301,7 +328,8 @@ fn batch_full_table<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t: &mut 
     for (k, v) in &items[..err.committed] {
         assert_eq!(t.get(pm, k), Some(*v), "{label}: committed key {k} lost");
     }
-    t.check_consistency(pm).unwrap_or_else(|e| panic!("{label}: {e}"));
+    t.check_consistency(pm)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 /// Keys used by the crash-batch drivers. Inserted fresh by
@@ -331,7 +359,9 @@ fn crash_batch_loop<S: HashScheme<SimPmem, u64, u64>>(
         let mut pm = pm0.clone();
         let mut t = open(&mut pm);
         let base = pm.events();
-        pm.set_crash_plan(Some(CrashPlan { at_event: base + at }));
+        pm.set_crash_plan(Some(CrashPlan {
+            at_event: base + at,
+        }));
         let done = run_with_crash(|| op(&mut pm, &mut t)).is_ok();
         if done {
             break;
@@ -460,10 +490,14 @@ fn crash_migration<S: MigrationSource<SimPmem, u64, u64>>(
         let mut pm = pm0.clone();
         let (mut src, mut dst) = open_pair(&mut pm);
         let base = pm.events();
-        pm.set_crash_plan(Some(CrashPlan { at_event: base + at }));
-        let done = run_with_crash(|| {
-            while !migrate_step_same_pool(&mut pm, &mut src, &mut dst, 4) {}
-        })
+        pm.set_crash_plan(Some(CrashPlan {
+            at_event: base + at,
+        }));
+        let done = run_with_crash(
+            || {
+                while !migrate_step_same_pool(&mut pm, &mut src, &mut dst, 4) {}
+            },
+        )
         .is_ok();
         if done {
             break;
@@ -526,7 +560,12 @@ fn get_batch_matches_gets<S: HashScheme<SimPmem, u64, u64>>(pm: &mut SimPmem, t:
     let batch = t.get_batch(pm, &keys);
     let spent = pm.stats().delta_since(&base);
     assert_eq!(
-        (spent.flushes, spent.fences, spent.atomic_writes, spent.writes),
+        (
+            spent.flushes,
+            spent.fences,
+            spent.atomic_writes,
+            spent.writes
+        ),
         (0, 0, 0, 0),
         "{label}: get_batch performed persistence events"
     );
@@ -720,10 +759,7 @@ fn linear_crash_insert() {
 fn linear_crash_remove() {
     // Backward-shift deletion moves cells; only the logged variant is
     // all-or-nothing (the paper's point about the bare scheme).
-    crash_remove(
-        || linear_pool(ConsistencyMode::UndoLog, 256),
-        linear_open,
-    );
+    crash_remove(|| linear_pool(ConsistencyMode::UndoLog, 256), linear_open);
 }
 
 #[test]
@@ -1019,13 +1055,19 @@ fn iceberg_get_batch_matches_gets() {
 /// Source + double-sized destination in one pool, for [`crash_migration`].
 fn group_migration_pair(
     mode: ConsistencyMode,
-) -> (SimPmem, GroupHash<SimPmem, u64, u64>, GroupHash<SimPmem, u64, u64>) {
+) -> (
+    SimPmem,
+    GroupHash<SimPmem, u64, u64>,
+    GroupHash<SimPmem, u64, u64>,
+) {
     let commit = match mode {
         ConsistencyMode::None => CommitStrategy::AtomicBitmap,
         ConsistencyMode::UndoLog => CommitStrategy::UndoLog,
     };
     let cfg = GroupHashConfig::new(64, 16).with_commit(commit);
-    let big = GroupHashConfig::new(128, 16).with_seed(cfg.seed).with_commit(commit);
+    let big = GroupHashConfig::new(128, 16)
+        .with_seed(cfg.seed)
+        .with_commit(commit);
     let a = GroupHash::<SimPmem, u64, u64>::required_size(&cfg);
     let b = GroupHash::<SimPmem, u64, u64>::required_size(&big);
     let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
@@ -1059,11 +1101,9 @@ fn linear_crash_migration() {
         crash_migration(
             move || {
                 let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src =
-                    LinearProbing::create(&mut pm, Region::new(0, a), 64, 7, mode).unwrap();
+                let src = LinearProbing::create(&mut pm, Region::new(0, a), 64, 7, mode).unwrap();
                 let dst =
-                    LinearProbing::create(&mut pm, Region::new(a, b + 128), 128, 7, mode)
-                        .unwrap();
+                    LinearProbing::create(&mut pm, Region::new(a, b + 128), 128, 7, mode).unwrap();
                 (pm, src, dst)
             },
             move |pm| {
@@ -1085,8 +1125,7 @@ fn pfht_crash_migration() {
             move || {
                 let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
                 let src = Pfht::create(&mut pm, Region::new(0, a), 16, 4, 7, mode).unwrap();
-                let dst =
-                    Pfht::create(&mut pm, Region::new(a, b + 128), 32, 8, 7, mode).unwrap();
+                let dst = Pfht::create(&mut pm, Region::new(a, b + 128), 32, 8, 7, mode).unwrap();
                 (pm, src, dst)
             },
             move |pm| {
@@ -1109,24 +1148,11 @@ fn iceberg_crash_migration() {
         crash_migration(
             move || {
                 let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src = Iceberg::create(
-                    &mut pm,
-                    Region::new(0, a),
-                    sg,
-                    7,
-                    mode,
-                    MetaMode::On,
-                )
-                .unwrap();
-                let dst = Iceberg::create(
-                    &mut pm,
-                    Region::new(a, b + 128),
-                    dg,
-                    7,
-                    mode,
-                    MetaMode::On,
-                )
-                .unwrap();
+                let src =
+                    Iceberg::create(&mut pm, Region::new(0, a), sg, 7, mode, MetaMode::On).unwrap();
+                let dst =
+                    Iceberg::create(&mut pm, Region::new(a, b + 128), dg, 7, mode, MetaMode::On)
+                        .unwrap();
                 (pm, src, dst)
             },
             move |pm| {
@@ -1146,8 +1172,7 @@ fn path_crash_migration() {
         crash_migration(
             move || {
                 let mut pm = SimPmem::new(a + b + 128, SimConfig::fast_test());
-                let src =
-                    PathHash::create(&mut pm, Region::new(0, a), 6, 4, 7, mode).unwrap();
+                let src = PathHash::create(&mut pm, Region::new(0, a), 6, 4, 7, mode).unwrap();
                 let dst =
                     PathHash::create(&mut pm, Region::new(a, b + 128), 7, 4, 7, mode).unwrap();
                 (pm, src, dst)

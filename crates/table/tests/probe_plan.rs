@@ -139,7 +139,10 @@ fn iceberg_exact_cell_indices() {
     assert_eq!(p.cell(15, 7), 127);
     assert_eq!(p.cell(16, 0), 128, "first level-2 cell");
     assert_eq!(p.cell(24, 0), 192, "first backyard cell");
-    assert_eq!(p.bucket_cells(2).collect::<Vec<u64>>(), vec![16, 17, 18, 19, 20, 21, 22, 23]);
+    assert_eq!(
+        p.bucket_cells(2).collect::<Vec<u64>>(),
+        vec![16, 17, 18, 19, 20, 21, 22, 23]
+    );
     assert_eq!(p.level_of_cell(127), 0);
     assert_eq!(p.level_of_cell(128), 1);
     assert_eq!(p.level_of_cell(191), 1);

@@ -140,7 +140,11 @@ mod tests {
         let keys = t.take_keys(8_000);
         for pos in 0..16 {
             let distinct: HashSet<u8> = keys.iter().map(|k| k[pos]).collect();
-            assert!(distinct.len() > 200, "byte {pos}: {} values", distinct.len());
+            assert!(
+                distinct.len() > 200,
+                "byte {pos}: {} values",
+                distinct.len()
+            );
         }
     }
 

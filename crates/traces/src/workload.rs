@@ -221,7 +221,12 @@ impl Workload {
         let insert_keys = trace.take_keys(self.ops);
         // Query victims: resident fill keys, sampled evenly.
         let step = (fill_keys.len() / self.ops.max(1)).max(1);
-        let query_keys: Vec<K> = fill_keys.iter().step_by(step).take(self.ops).copied().collect();
+        let query_keys: Vec<K> = fill_keys
+            .iter()
+            .step_by(step)
+            .take(self.ops)
+            .copied()
+            .collect();
 
         // Per-op latency distributions: one OpTrace window per measured
         // op. The trace only snapshots DRAM-side counters, so it never
@@ -594,11 +599,18 @@ mod tests {
             cap: 4096,
         };
         let mut trace = RandomNum::new(1);
-        let w = Workload { load_factor: 0.5, ops: 100 };
+        let w = Workload {
+            load_factor: 0.5,
+            ops: 100,
+        };
         let r = w.run(&mut pm, &mut t, &mut trace, |&k| k + 1);
         assert_eq!(r.scheme, "dummy");
         assert_eq!(r.trace, "RandomNum");
-        assert!(r.load_factor >= 0.5 && r.load_factor < 0.55, "{}", r.load_factor);
+        assert!(
+            r.load_factor >= 0.5 && r.load_factor < 0.55,
+            "{}",
+            r.load_factor
+        );
         assert_eq!(r.insert.ops, 100);
         assert_eq!(r.query.ops, 100);
         assert_eq!(r.delete.ops, 100);
@@ -640,7 +652,11 @@ mod tests {
         assert_eq!(r.scheme, "dummy");
         assert_eq!(r.read.ops + r.update.ops, 400);
         // Mix A: 50/50 within binomial slack.
-        assert!((120..=280).contains(&(r.update.ops as usize)), "{}", r.update.ops);
+        assert!(
+            (120..=280).contains(&(r.update.ops as usize)),
+            "{}",
+            r.update.ops
+        );
         assert_eq!(r.read_latency.count(), r.read.ops);
         assert_eq!(r.update_latency.count(), r.update.ops);
         // An update is a remove + insert: it must flush, a read must not.

@@ -93,9 +93,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let flat = Zipf::new(100, 0.2);
         let steep = Zipf::new(100, 2.0);
-        let head = |z: &Zipf, rng: &mut ChaCha8Rng| {
-            (0..20_000).filter(|_| z.sample(rng) == 0).count()
-        };
+        let head =
+            |z: &Zipf, rng: &mut ChaCha8Rng| (0..20_000).filter(|_| z.sample(rng) == 0).count();
         let flat_head = head(&flat, &mut rng);
         let steep_head = head(&steep, &mut rng);
         assert!(steep_head > 4 * flat_head, "{steep_head} vs {flat_head}");

@@ -147,17 +147,11 @@ impl UndoLog {
         if self.sealed == self.cursor {
             return;
         }
-        pm.flush(
-            self.region.off + self.sealed,
-            self.cursor - self.sealed,
-        );
+        pm.flush(self.region.off + self.sealed, self.cursor - self.sealed);
         pm.fence();
         // One atomic store publishes flag + count together; the bodies
         // are already durable (fence above).
-        pm.atomic_write_u64(
-            self.region.off + OFF_HEADER,
-            ACTIVE_BIT | self.n_records,
-        );
+        pm.atomic_write_u64(self.region.off + OFF_HEADER, ACTIVE_BIT | self.n_records);
         pm.persist(self.region.off + OFF_HEADER, 8);
         self.sealed = self.cursor;
     }
@@ -361,9 +355,6 @@ mod tests {
         pm.reset_stats();
         tx_update(&mut pm, &mut log, &[(DATA, 6)]);
         let logged = pm.stats().flushes;
-        assert!(
-            logged >= 2 * raw,
-            "logged {logged} flushes vs raw {raw}"
-        );
+        assert!(logged >= 2 * raw, "logged {logged} flushes vs raw {raw}");
     }
 }

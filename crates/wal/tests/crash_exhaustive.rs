@@ -46,8 +46,12 @@ fn every_crash_point_is_all_or_nothing() {
     for how in [
         CrashResolution::DropUnflushed,
         CrashResolution::PersistAll,
-        CrashResolution::Alternate { persist_first: true },
-        CrashResolution::Alternate { persist_first: false },
+        CrashResolution::Alternate {
+            persist_first: true,
+        },
+        CrashResolution::Alternate {
+            persist_first: false,
+        },
         CrashResolution::Random(1),
         CrashResolution::Random(99),
     ] {
@@ -69,14 +73,8 @@ fn every_crash_point_is_all_or_nothing() {
             log2.recover(&mut pm);
 
             let words: Vec<u64> = (0..WORDS).map(|w| pm.read_u64(DATA + w * 8)).collect();
-            let all_old = words
-                .iter()
-                .enumerate()
-                .all(|(w, &v)| v == OLD + w as u64);
-            let all_new = words
-                .iter()
-                .enumerate()
-                .all(|(w, &v)| v == NEW + w as u64);
+            let all_old = words.iter().enumerate().all(|(w, &v)| v == OLD + w as u64);
+            let all_new = words.iter().enumerate().all(|(w, &v)| v == NEW + w as u64);
             assert!(
                 all_old || all_new,
                 "torn transaction at event {event} under {how:?}: {words:?}"

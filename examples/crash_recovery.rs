@@ -52,7 +52,8 @@ fn main() {
         // Reboot: reopen from the surviving bytes and run Algorithm 4.
         let mut t = Table::open(&mut pm, region).expect("reopen");
         t.recover(&mut pm);
-        t.check_consistency(&pm).expect("recovered state consistent");
+        t.check_consistency(&pm)
+            .expect("recovered state consistent");
 
         // All 900 committed items are intact...
         for k in 0..900u64 {

@@ -27,9 +27,8 @@ fn main() {
     let cfg = GroupHashConfig::new(1 << 16, 256);
     let size = GroupHash::<SimPmem, [u8; 16], Location>::required_size(&cfg);
     let mut pm = SimPmem::new(size, SimConfig::paper_default());
-    let mut index =
-        GroupHash::<_, [u8; 16], Location>::create(&mut pm, Region::new(0, size), cfg)
-            .expect("create");
+    let mut index = GroupHash::<_, [u8; 16], Location>::create(&mut pm, Region::new(0, size), cfg)
+        .expect("create");
 
     // Ingest a synthetic snapshot stream: each incoming chunk digest is
     // looked up first (dedup hit?) and only new content is stored.
@@ -63,8 +62,7 @@ fn main() {
         }
     }
     assert_eq!(pm.stats().flushes, 0, "dedup hits must not write NVM");
-    let miss_per_lookup =
-        pm.cache_stats().unwrap().llc_misses() as f64 / batch1.len() as f64;
+    let miss_per_lookup = pm.cache_stats().unwrap().llc_misses() as f64 / batch1.len() as f64;
 
     println!("stored {stored} unique chunks, {dup_hits} dedup hits on re-backup");
     println!(

@@ -28,9 +28,15 @@ fn main() {
     // Basic usage.
     store.set(b"user:1001:name", b"ada lovelace").unwrap();
     store.set(b"user:1001:role", b"engine programmer").unwrap();
-    assert_eq!(store.get(b"user:1001:name").as_deref(), Some(&b"ada lovelace"[..]));
+    assert_eq!(
+        store.get(b"user:1001:name").as_deref(),
+        Some(&b"ada lovelace"[..])
+    );
     store.set(b"user:1001:name", b"ada king").unwrap(); // upsert
-    assert_eq!(store.get(b"user:1001:name").as_deref(), Some(&b"ada king"[..]));
+    assert_eq!(
+        store.get(b"user:1001:name").as_deref(),
+        Some(&b"ada king"[..])
+    );
     assert!(store.delete(b"user:1001:role").unwrap());
     assert_eq!(store.get(b"user:1001:role"), None);
     println!("basic set/get/upsert/delete: ok");

@@ -20,11 +20,19 @@ fn main() {
             .create_with(|_, size| SimPmem::new(size, SimConfig::paper_default()))
             .expect("create");
 
-        store.set(b"doc:readme", b"Group hashing: a write-efficient, consistent hash table for NVM.").unwrap();
+        store
+            .set(
+                b"doc:readme",
+                b"Group hashing: a write-efficient, consistent hash table for NVM.",
+            )
+            .unwrap();
         store.set(b"doc:license", b"MIT OR Apache-2.0").unwrap();
         for i in 0..5000u32 {
             let key = format!("event:{i:05}");
-            let value = format!("{{\"seq\":{i},\"payload\":\"{}\"}}", "x".repeat((i % 80) as usize));
+            let value = format!(
+                "{{\"seq\":{i},\"payload\":\"{}\"}}",
+                "x".repeat((i % 80) as usize)
+            );
             store.set(key.as_bytes(), value.as_bytes()).unwrap();
         }
         // Values are variable-size: updates move them between size classes.

@@ -35,8 +35,7 @@ fn main() {
 
     // ---- "Second process run": reload and continue. ----
     {
-        let mut pm =
-            SimPmem::load_image(&path, SimConfig::paper_default()).expect("load image");
+        let mut pm = SimPmem::load_image(&path, SimConfig::paper_default()).expect("load image");
         let mut table = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).expect("open");
         // A clean shutdown needs no recovery, but running Algorithm 4 is
         // always safe (idempotent) — do it, as a real application would
@@ -56,11 +55,13 @@ fn main() {
 
     // ---- "Third run": verify the append survived too. ----
     {
-        let mut pm =
-            SimPmem::load_image(&path, SimConfig::paper_default()).expect("load image");
+        let mut pm = SimPmem::load_image(&path, SimConfig::paper_default()).expect("load image");
         let table = GroupHash::<SimPmem, u64, u64>::open(&mut pm, region).expect("open");
         assert_eq!(table.get(&pm, &999_999), Some(1));
-        println!("run 3: {} items — durability across three runs", table.len(&pm));
+        println!(
+            "run 3: {} items — durability across three runs",
+            table.len(&pm)
+        );
     }
 
     let _ = std::fs::remove_file(&path);

@@ -17,7 +17,11 @@ fn main() {
     let region = Region::new(0, size);
     let mut table = GroupHash::<_, u64, u64>::create(&mut pm, region, cfg).expect("create");
 
-    println!("pool: {:.1} MiB, capacity: {} cells", size as f64 / (1 << 20) as f64, table.capacity());
+    println!(
+        "pool: {:.1} MiB, capacity: {} cells",
+        size as f64 / (1 << 20) as f64,
+        table.capacity()
+    );
 
     // Insert some items.
     for k in 0..50_000u64 {

@@ -297,18 +297,30 @@ fn single_op_budgets_unchanged_by_shared_read_refactor() {
     pm.reset_stats();
     t.insert(&mut pm, 7, 700).unwrap();
     let s = pm.stats();
-    assert_eq!((s.flushes, s.fences, s.atomic_writes), (3, 3, 2), "insert budget");
+    assert_eq!(
+        (s.flushes, s.fences, s.atomic_writes),
+        (3, 3, 2),
+        "insert budget"
+    );
 
     pm.reset_stats();
     assert_eq!(t.get(&pm, &7), Some(700));
     let s = pm.stats();
-    assert_eq!((s.flushes, s.fences, s.atomic_writes), (0, 0, 0), "get budget");
+    assert_eq!(
+        (s.flushes, s.fences, s.atomic_writes),
+        (0, 0, 0),
+        "get budget"
+    );
     assert_eq!(s.writes, 0, "get must not write");
 
     pm.reset_stats();
     assert!(t.remove(&mut pm, &7));
     let s = pm.stats();
-    assert_eq!((s.flushes, s.fences, s.atomic_writes), (3, 3, 2), "remove budget");
+    assert_eq!(
+        (s.flushes, s.fences, s.atomic_writes),
+        (3, 3, 2),
+        "remove budget"
+    );
 }
 
 /// The vectorized read path inherits the paper's query budget: whatever
@@ -412,7 +424,11 @@ fn single_writer_never_contends() {
             table.update_in_place(&(k / 2), k);
         }
     }
-    assert_eq!(table.concurrency().lock_waits, 0, "single writer waited on a latch");
+    assert_eq!(
+        table.concurrency().lock_waits,
+        0,
+        "single writer waited on a latch"
+    );
     table.check_consistency().unwrap();
 }
 

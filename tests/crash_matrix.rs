@@ -28,8 +28,12 @@ fn crash_everywhere(kind: SchemeKind) {
         for how in [
             CrashResolution::DropUnflushed,
             CrashResolution::PersistAll,
-            CrashResolution::Alternate { persist_first: true },
-            CrashResolution::Alternate { persist_first: false },
+            CrashResolution::Alternate {
+                persist_first: true,
+            },
+            CrashResolution::Alternate {
+                persist_first: false,
+            },
             CrashResolution::Random(7),
         ] {
             let mut event = 0u64;
@@ -100,7 +104,9 @@ fn reopen(kind: SchemeKind, pm: &mut SimPmem) -> AnyScheme<SimPmem, u64, u64> {
             AnyScheme::Linear(LinearProbing::open(pm, region).unwrap())
         }
         SchemeKind::Pfht | SchemeKind::PfhtL => AnyScheme::Pfht(Pfht::open(pm, region).unwrap()),
-        SchemeKind::Path | SchemeKind::PathL => AnyScheme::Path(PathHash::open(pm, region).unwrap()),
+        SchemeKind::Path | SchemeKind::PathL => {
+            AnyScheme::Path(PathHash::open(pm, region).unwrap())
+        }
         SchemeKind::Iceberg | SchemeKind::IcebergL => {
             AnyScheme::Iceberg(Iceberg::open(pm, region).unwrap())
         }
@@ -182,9 +188,9 @@ fn bare_linear_delete_can_corrupt() {
             table.recover(&mut pm);
 
             let structurally_broken = table.check_consistency(&pm).is_err();
-            let lost_committed = keys.iter().any(|&k| {
-                k != victim && table.get(&pm, &k) != Some(k + 1)
-            });
+            let lost_committed = keys
+                .iter()
+                .any(|&k| k != victim && table.get(&pm, &k) != Some(k + 1));
             if structurally_broken || lost_committed {
                 corrupted = true;
                 break 'outer;

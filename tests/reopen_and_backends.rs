@@ -112,11 +112,7 @@ fn sim_and_real_backends_agree() {
                 }
             }
             1 => {
-                assert_eq!(
-                    ts.get(&sim, &k),
-                    tr.get(&real, &k),
-                    "step {step} get({k})"
-                );
+                assert_eq!(ts.get(&sim, &k), tr.get(&real, &k), "step {step} get({k})");
             }
             _ => {
                 let a = ts.remove(&mut sim, &k);
@@ -146,8 +142,8 @@ fn facade_namespaces() {
     assert_eq!(
         md5(b"abc"),
         [
-            0x90, 0x01, 0x50, 0x98, 0x3c, 0xd2, 0x4f, 0xb0, 0xd6, 0x96, 0x3f, 0x7d, 0x28,
-            0xe1, 0x7f, 0x72
+            0x90, 0x01, 0x50, 0x98, 0x3c, 0xd2, 0x4f, 0xb0, 0xd6, 0x96, 0x3f, 0x7d, 0x28, 0xe1,
+            0x7f, 0x72
         ]
     );
     let mut t = RandomNum::new(1);
