@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> cargo fmt --all --check (the workspace is rustfmt-clean)"
+# nvmbench is its own workspace and is not formatted by this step.
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -164,7 +168,7 @@ for helper in migrate_step expand_step; do
   }
 done
 
-echo "==> one-mechanism lint (no second growth path, commit family, write path, KV API, build, group layout or count)"
+echo "==> one-mechanism lint (no second growth path, commit family, write path, KV API, build, group layout, count or lookup)"
 # One growth path (expand_step), one commit family (CellStore/
 # BatchSession without tag-carrying twins), one write path per shard
 # (the shard latch + seqlock; no lock-free CAS writer family), one public
@@ -190,6 +194,20 @@ if grep -rnE 'ProbeLayout|CountMode|volatile_count|with_probe\(|with_count_mode'
   echo "mechanism lint: the removed strided-layout or volatile-count knob came back" >&2
   exit 1
 fi
+# One lookup machine: Algorithm 2's steps (level-1 check, group scan
+# and its occupancy-word walk, level-1/group prefetch, tag match) are
+# defined once under crates/core/src/table/, in the read view, and the
+# table runs them with its tag cache and recorder. A second definition
+# is a second lookup to keep consistent with the first.
+for step in 'fn prefetch_group\b' 'fn prefetch_level1\b' 'fn level1_holds\b' \
+    'fn find_key_in_group\b' 'fn find_in_group\b' 'fn group_words\b' 'match_bits\('; do
+  files=$( { grep -rnE "$step" crates/core/src/table/ || true; } | strip_comments | cut -d: -f1 | sort -u)
+  if [ "$(printf '%s' "$files" | grep -c .)" -gt 1 ]; then
+    echo "mechanism lint: '$step' appears in more than one file under crates/core/src/table/:" >&2
+    echo "$files" >&2
+    exit 1
+  fi
+done
 
 echo "==> server loopback smoke test (ephemeral port, scripted session, clean shutdown)"
 # Boots the real TCP server over a Store on 127.0.0.1:0, runs a scripted

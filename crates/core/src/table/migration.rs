@@ -16,7 +16,7 @@ use nvm_table::{BatchSession, MigrationSource};
 impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// Splits a raw migration index into (level, cell index).
     fn split_migration_index(&self, i: u64) -> (Level, u64) {
-        let n = self.config.cells_per_level;
+        let n = self.view.config.cells_per_level;
         if i < n {
             (Level::One, i)
         } else {
@@ -27,7 +27,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
 impl<P: Pmem, K: HashKey, V: Pod> MigrationSource<P, K, V> for GroupHash<P, K, V> {
     fn migration_cells(&self) -> u64 {
-        2 * self.config.cells_per_level
+        2 * self.view.config.cells_per_level
     }
 
     fn entry_at(&self, pm: &P, i: u64) -> Option<(K, V)> {

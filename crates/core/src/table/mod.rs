@@ -3,7 +3,10 @@
 //! * [`probe`] — pure candidate-slot/group planning (no pool I/O);
 //! * [`store`] — the persistence choreography: how Algorithms 1 and 3
 //!   commit through the shared [`CellStore`] + [`Journal`];
-//! * [`ops`] — Algorithms 1–4 themselves, composing the two.
+//! * [`readview`] — Algorithm 2, the one lookup, run by the table (with
+//!   its tag cache and recorder) and by the detached [`GroupReadView`];
+//! * [`ops`] — Algorithms 1, 3 and 4, composing the layers, plus the
+//!   table's entry points into Algorithm 2.
 //!
 //! This file owns the persistent layout (header/bitmaps/cells/log
 //! carving), construction (`create`/`open`), and the read-side accessors;
@@ -17,6 +20,7 @@ mod store;
 #[cfg(test)]
 mod tests;
 
+use readview::Aids;
 pub use readview::GroupReadView;
 
 use crate::config::{CommitStrategy, FpMode, GroupHashConfig};
@@ -70,13 +74,11 @@ fn consistency_of(commit: CommitStrategy) -> ConsistencyMode {
 /// from that region alone.
 #[derive(Debug)]
 pub struct GroupHash<P: Pmem, K: HashKey, V: Pod> {
-    config: GroupHashConfig,
-    hash: HashPair,
+    /// The volatile layout (config, hash streams, both cell stores) and
+    /// the one implementation of Algorithm 2; [`GroupHash::read_view`]
+    /// hands out a copy.
+    view: GroupReadView<K, V>,
     header: TableHeader,
-    /// Level-1 cells (the direct-mapped slots).
-    store1: CellStore<K, V>,
-    /// Level-2 cells (the shared groups).
-    store2: CellStore<K, V>,
     /// The one place [`ConsistencyMode`] applies: a no-op under the
     /// paper's atomic-bitmap commit, an undo log under the ablation.
     journal: Journal,
@@ -119,11 +121,13 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let n = config.cells_per_level;
         let (_, b1, b2, c1, c2, log_r) = Self::layout(region, n);
         GroupHash {
-            config,
-            hash: HashPair::from_seed(config.seed),
+            view: GroupReadView {
+                config,
+                hash: HashPair::from_seed(config.seed),
+                store1: CellStore::attach(b1, c1, n),
+                store2: CellStore::attach(b2, c2, n),
+            },
             header,
-            store1: CellStore::attach(b1, c1, n),
-            store2: CellStore::attach(b2, c2, n),
             journal: Journal::open(consistency_of(config.commit), log_r),
             fp: (config.fp == FpMode::On).then(|| FpCache::new(n)),
             instr: SchemeInstrumentation::new(config.group_size as usize),
@@ -132,10 +136,14 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
     }
 
-    /// Records a completed lookup-style probe sequence.
+    /// What this table lends the shared lookup: its tag cache (under
+    /// `FpMode::On`) and its recorder.
     #[inline]
-    fn note_probe(&self, cells: u64) {
-        self.instr.record_probe(cells);
+    fn aids(&self) -> Aids<'_> {
+        Aids {
+            fp: self.fp.as_ref(),
+            instr: Some(&self.instr),
+        }
     }
 
     /// Records one insert attempt: cells examined, occupied cells stepped
@@ -154,24 +162,6 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     #[inline]
     fn note_batch(&self, ops: u64, fences: u64, flushes: u64) {
         self.instr.batch.record(ops, fences, flushes);
-    }
-
-    /// Records key loads issued from the pool by a lookup-style probe
-    /// (recorded in both fingerprint modes, so filtered and unfiltered
-    /// runs report the probe path's NVM traffic in the same counter).
-    #[inline]
-    fn note_key_reads(&self, n: u64) {
-        self.instr.fingerprint.key_reads.add(n);
-    }
-
-    /// Records fingerprint-filter outcomes: occupied cells skipped on a
-    /// tag mismatch, tag matches whose key compared unequal, and tag
-    /// matches confirmed by the key bytes.
-    #[inline]
-    fn note_fp(&self, skips: u64, false_positives: u64, hits: u64) {
-        self.instr.fingerprint.skips.add(skips);
-        self.instr.fingerprint.false_positives.add(false_positives);
-        self.instr.fingerprint.hits.add(hits);
     }
 
     /// Creates and initializes a fresh table in `region`.
@@ -252,7 +242,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// The configuration (as persisted).
     pub fn config(&self) -> &GroupHashConfig {
-        &self.config
+        &self.view.config
     }
 
     /// The pool region this table occupies.
@@ -263,7 +253,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// Level-1 slot for `key` (the paper's `k = h(key)`).
     #[inline]
     pub fn slot_of(&self, key: &K) -> u64 {
-        probe::slot_of(&self.hash, &self.config, key)
+        probe::slot_of(&self.view.hash, &self.view.config, key)
     }
 
     /// Second candidate slot under [`ChoiceMode::TwoChoice`]; `None` in the
@@ -272,20 +262,20 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// [`ChoiceMode::TwoChoice`]: crate::config::ChoiceMode::TwoChoice
     #[inline]
     pub fn slot2_of(&self, key: &K) -> Option<u64> {
-        probe::slot2_of(&self.hash, &self.config, key)
+        probe::slot2_of(&self.view.hash, &self.view.config, key)
     }
 
     /// The volatile fingerprint tag for `key`: the low byte of the third
     /// hash stream, independent of the placement hashes.
     #[inline]
     pub fn fp_tag(&self, key: &K) -> u8 {
-        probe::fp_tag(&self.hash, key)
+        probe::fp_tag(&self.view.hash, key)
     }
 
     /// The level-2 geometry as a pure probe plan.
     #[inline]
     pub(crate) fn plan(&self) -> GroupPlan {
-        probe::plan(&self.config)
+        probe::plan(&self.view.config)
     }
 
     /// Group number of level-1 slot `k`.
@@ -302,10 +292,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// The cell store of a level.
     fn level_store(&self, level: Level) -> CellStore<K, V> {
-        match level {
-            Level::One => self.store1,
-            Level::Two => self.store2,
-        }
+        self.view.store(level)
     }
 
     /// Occupied cells.
@@ -320,23 +307,24 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
 
     /// Total cells across both levels.
     pub fn capacity(&self) -> u64 {
-        2 * self.config.cells_per_level
+        2 * self.view.config.cells_per_level
     }
 
-    /// Captures a [`GroupReadView`]: a `Copy`-able, read-only probe
-    /// machine over this table's cells that answers `get` through any
-    /// [`PmemRead`](nvm_pmem::PmemRead) handle. The view holds layout
+    /// A copy of the table's [`GroupReadView`]: the `Copy`-able,
+    /// read-only probe machine the table itself looks up with, which
+    /// answers `get` through any [`PmemRead`](nvm_pmem::PmemRead) handle
+    /// without the table's tag cache or recorder. The view holds layout
     /// only (no pool bytes), so it stays valid across mutations of the
     /// owning table; concurrent readers must pair it with a validation
     /// protocol (see `ShardedGroupHash`).
     pub fn read_view(&self) -> GroupReadView<K, V> {
-        GroupReadView::new(self.config, self.hash, self.store1, self.store2)
+        self.view
     }
 
     /// Visits every stored `(key, value)` pair. Level 1 first, then level
     /// 2, each in index order.
     pub fn for_each_entry(&self, pm: &P, mut f: impl FnMut(K, V)) {
-        let n = self.config.cells_per_level;
+        let n = self.view.config.cells_per_level;
         for level in [Level::One, Level::Two] {
             let store = self.level_store(level);
             for i in 0..n {
@@ -359,11 +347,11 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         CellArray<K, V>,
     ) {
         (
-            &self.config,
-            self.store1.bitmap,
-            self.store2.bitmap,
-            self.store1.cells,
-            self.store2.cells,
+            &self.view.config,
+            self.view.store1.bitmap,
+            self.view.store2.bitmap,
+            self.view.store1.cells,
+            self.view.store2.cells,
         )
     }
 

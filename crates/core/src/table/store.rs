@@ -15,7 +15,7 @@
 //! The DRAM fingerprint cache is maintained here too: tags change exactly
 //! when a commit changes a cell, and never cost a pool write.
 
-use super::{GroupHash, Level};
+use super::{probe, GroupHash, Level};
 use nvm_hashfn::{HashKey, Pod};
 use nvm_pmem::Pmem;
 use nvm_table::{BatchSession, TableError};
@@ -45,8 +45,8 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         let store = self.level_store(level);
         sess.stage_publish(pm, &mut self.journal, store, idx, key, value);
-        if let Some(fp) = &self.fp {
-            fp.set(level.idx(), idx, self.fp_tag(key));
+        if let Some(fp) = &mut self.fp {
+            fp.set(level.idx(), idx, probe::fp_tag(&self.view.hash, key));
         }
     }
 
@@ -66,7 +66,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         }
         let store = self.level_store(level);
         sess.stage_retract(pm, &mut self.journal, store, idx);
-        if let Some(fp) = &self.fp {
+        if let Some(fp) = &mut self.fp {
             fp.clear(level.idx(), idx);
         }
     }
@@ -94,17 +94,17 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
     /// authoritative state). No-op under `FpMode::Off`. O(capacity),
     /// reading one key per occupied cell.
     pub(super) fn rebuild_fp_cache(&mut self, pm: &P) {
-        let Some(fp) = &self.fp else { return };
+        let Some(fp) = &mut self.fp else { return };
         fp.reset();
-        let n = self.config.cells_per_level;
+        let n = self.view.config.cells_per_level;
         for level in [Level::One, Level::Two] {
-            let store = self.level_store(level);
+            let store = self.view.store(level);
             let mut base = 0u64;
             while base < n {
                 let mut word = store.bitmap.word_containing(pm, base);
                 while word != 0 {
                     let idx = base + word.trailing_zeros() as u64;
-                    let tag = self.fp_tag(&store.cells.read_key(pm, idx));
+                    let tag = probe::fp_tag(&self.view.hash, &store.cells.read_key(pm, idx));
                     fp.set(level.idx(), idx, tag);
                     word &= word - 1;
                 }
@@ -121,7 +121,7 @@ impl<P: Pmem, K: HashKey, V: Pod> GroupHash<P, K, V> {
         let Some(fp) = &self.fp else { return Ok(()) };
         for level in [Level::One, Level::Two] {
             let store = self.level_store(level);
-            for i in 0..self.config.cells_per_level {
+            for i in 0..self.view.config.cells_per_level {
                 if !store.is_occupied(pm, i) {
                     continue;
                 }

@@ -441,6 +441,37 @@ fn fingerprint_counters_and_probe_parity() {
 }
 
 #[test]
+fn view_miss_costs_the_same_pool_reads_as_table_get() {
+    // The view and the table run one lookup, so a miss in a full group
+    // costs the same pool reads through either (FpMode::Off, where the
+    // table has no tag cache to skip keys with): the level-1 probe, one
+    // bitmap word for the whole 64-cell group, then one key per cell.
+    let (mut pm, mut t, _) = make(64, 64); // a single 64-cell group
+    let mut k = 0u64;
+    while t.insert(&mut pm, k, k).is_ok() {
+        k += 1;
+    }
+    let (_, _, bitmap2, _, _) = t.parts();
+    assert_eq!(bitmap2.count_ones(&pm), 64, "the group is full");
+    let absent = 1u64 << 40;
+    let view = t.read_view();
+    let reader = pm.read_handle();
+    let reads = |pm: &mut SimPmem, lookup: &dyn Fn(&SimPmem) -> Vec<Option<u64>>| {
+        pm.reset_stats();
+        assert!(lookup(pm).iter().all(Option::is_none));
+        let s = pm.stats();
+        (s.reads, s.bytes_read)
+    };
+    let table = reads(&mut pm, &|pm| vec![t.get(pm, &absent)]);
+    let viewed = reads(&mut pm, &|_| vec![view.get(&reader, &absent)]);
+    assert_eq!(viewed, table, "view get vs table get (reads, bytes)");
+    assert!(table.0 <= 2 + 1 + 64, "word-wise scan: {} reads", table.0);
+    let table_batch = reads(&mut pm, &|pm| t.get_batch(pm, &[absent]));
+    let viewed_batch = reads(&mut pm, &|_| view.get_batch(&reader, &[absent]));
+    assert_eq!(viewed_batch, table_batch, "view vs table get_batch");
+}
+
+#[test]
 fn paper_insert_flush_budget() {
     // The paper's insert: persist cell + persist bitmap + persist count
     // = 3 flushed lines, 3 fences. No more (that is the whole point).

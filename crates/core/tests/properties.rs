@@ -3,7 +3,7 @@
 use group_hash::{
     ChoiceMode, CommitStrategy, FpMode, GroupHash, GroupHashConfig, HashScheme, TableAnalysis,
 };
-use nvm_pmem::{run_with_crash, CrashPlan, CrashResolution, Region, SimConfig, SimPmem};
+use nvm_pmem::{run_with_crash, CrashPlan, CrashResolution, Pmem, Region, SimConfig, SimPmem};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -85,6 +85,49 @@ proptest! {
     /// A crash at a random event during a random workload always recovers
     /// to a consistent state containing exactly the committed entries
     /// (modulo the single in-flight operation).
+    /// The table and its read view run one lookup: after a random
+    /// insert/remove sequence, `read_view().get`/`get_batch` through a
+    /// read handle answer exactly what `GroupHash::get`/`get_batch`
+    /// answer — for present, removed and never-inserted keys alike.
+    #[test]
+    fn read_view_matches_table_all_configs(ops in ops_strategy(200)) {
+        for cfg in all_configs() {
+            let (mut pm, mut t, _) = fresh(cfg);
+            let mut oracle: HashMap<u64, u64> = HashMap::new();
+            let mut removed = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Insert(k, v) => {
+                        let k = k as u64;
+                        if !oracle.contains_key(&k) && t.insert(&mut pm, k, v).is_ok() {
+                            oracle.insert(k, v);
+                        }
+                    }
+                    Op::Remove(k) => {
+                        let k = k as u64;
+                        if t.remove(&mut pm, &k) {
+                            oracle.remove(&k);
+                            removed.push(k);
+                        }
+                    }
+                    Op::Get(_) => {}
+                }
+            }
+            let mut keys: Vec<u64> = oracle.keys().copied().collect();
+            keys.extend(removed);
+            keys.extend(1000..1064u64);
+            let view = t.read_view();
+            let reader = pm.read_handle();
+            let want = t.get_batch(&pm, &keys);
+            prop_assert_eq!(&view.get_batch(&reader, &keys), &want);
+            for (k, w) in keys.iter().zip(&want) {
+                prop_assert_eq!(*w, oracle.get(k).copied(), "cfg {:?} key {}", cfg, k);
+                prop_assert_eq!(t.get(&pm, k), *w);
+                prop_assert_eq!(view.get(&reader, k), *w);
+            }
+        }
+    }
+
     #[test]
     fn random_crash_recovers(
         ops in ops_strategy(120),

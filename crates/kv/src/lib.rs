@@ -156,18 +156,6 @@ impl KvConfig {
         self.seed = seed;
         self
     }
-
-    /// Overrides the index fingerprint-tag mode.
-    pub fn with_fp_mode(mut self, fp: FpMode) -> Self {
-        self.fp = fp;
-        self
-    }
-
-    /// Overrides the index consistency mode.
-    pub fn with_consistency(mut self, consistency: ConsistencyMode) -> Self {
-        self.consistency = consistency;
-        self
-    }
 }
 
 /// 16-byte fingerprint of `key` (MurmurHash3 x64-128).

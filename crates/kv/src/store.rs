@@ -40,12 +40,11 @@
 //! [`ShardedGroupHash`]: group_hash::ShardedGroupHash
 
 use crate::{KvConfig, KvError, KvReadView, PmemKv};
-use group_hash::FpMode;
 use nvm_alloc::{AllocError, FragStats};
 use nvm_hashfn::murmur3_x64_128;
 use nvm_metrics::{HeapCounters, Histogram, MetricsRegistry, SchemeInstrumentation};
 use nvm_pmem::{Pmem, PmemStats, Region, SimConfig, SimPmem};
-use nvm_table::{ConsistencyMode, TableError};
+use nvm_table::TableError;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -851,8 +850,6 @@ pub struct StoreBuilder {
     items: u64,
     avg_value: u64,
     shards: usize,
-    fp: FpMode,
-    consistency: ConsistencyMode,
     seed: Option<u64>,
 }
 
@@ -868,8 +865,6 @@ impl StoreBuilder {
             items: 4096,
             avg_value: 64,
             shards: 1,
-            fp: FpMode::default(),
-            consistency: ConsistencyMode::default(),
             seed: None,
         }
     }
@@ -888,18 +883,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Index fingerprint-tag mode (create-time).
-    pub fn fp_mode(mut self, fp: FpMode) -> Self {
-        self.fp = fp;
-        self
-    }
-
-    /// Index consistency mode (create-time).
-    pub fn consistency(mut self, consistency: ConsistencyMode) -> Self {
-        self.consistency = consistency;
-        self
-    }
-
     /// Overrides the hash seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -908,9 +891,7 @@ impl StoreBuilder {
 
     fn shard_config(&self) -> KvConfig {
         let per_shard = (self.items / self.shards as u64).max(16);
-        let mut cfg = KvConfig::for_capacity(per_shard, self.avg_value)
-            .with_fp_mode(self.fp)
-            .with_consistency(self.consistency);
+        let mut cfg = KvConfig::for_capacity(per_shard, self.avg_value);
         if let Some(seed) = self.seed {
             cfg = cfg.with_seed(seed);
         }
@@ -952,7 +933,7 @@ impl StoreBuilder {
     }
 
     /// Reopens a store from its shard pools (one per shard, in the order
-    /// they were created). Capacity/mode settings on the builder are
+    /// they were created). Capacity settings on the builder are
     /// ignored — pools are self-describing.
     pub fn open<P: Pmem>(&self, pools: Vec<P>) -> Result<Store<P>, StoreError> {
         if pools.is_empty() {
